@@ -77,7 +77,7 @@ let derive ~name ~family ~model ~nlocs ~pattern ~polarity threads =
         Ok
           {
             probe with
-            Litmus.target = (fun o -> List.mem o target_set);
+            Litmus.target = (fun o -> Litmus.outcome_mem o target_set);
             target_desc = outcome_set_to_string target_set;
           }
 

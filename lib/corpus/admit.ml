@@ -154,7 +154,7 @@ let with_target probe ~name ~family set =
     probe with
     Litmus.name;
     family;
-    target = (fun o -> List.mem o set);
+    target = (fun o -> Litmus.outcome_mem o set);
     target_desc = describe set;
   }
 

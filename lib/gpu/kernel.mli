@@ -34,7 +34,13 @@ type t
     immutable and shareable across domains — plus the scalar
     [weak]/[bugs] parameters of this cell. Kernels produced by
     {!compile_cached} for the same test share one {e image} (the
-    structural arrays) and differ only in the scalars. *)
+    structural arrays) and differ only in the scalars.
+
+    The image also records two static facts about the test: whether it
+    has a fence, and whether some thread writes one location twice.
+    Execution skips the release-fence pass without the first and the
+    same-thread coherence pass without the second; neither pass could
+    change a visibility time then, so skipping them is invisible. *)
 
 type workspace
 (** Mutable per-instance scratch (issue/visibility times, coherence
@@ -93,13 +99,18 @@ val set_parent : workspace -> Mcm_util.Prng.t -> unit
     iteration-level parent stream that {!run_next} splits children
     from. [prng] itself is not advanced. *)
 
-val run_next : t -> workspace -> starts:float array -> Mcm_litmus.Litmus.outcome
-(** [run_next k ws ~starts] splits the next child stream off the parent
-    set by {!set_parent} (advancing the stored parent exactly as
+val run_next : t -> workspace -> starts:float array -> off:int -> Mcm_litmus.Litmus.outcome
+(** [run_next k ws ~starts ~off] splits the next child stream off the
+    parent set by {!set_parent} (advancing the stored parent exactly as
     [Instance.run ~prng:(Prng.split parent)] would advance [parent])
-    and executes one instance. The returned outcome is [ws]'s reused
-    record — copy it with {!snapshot} before the next run if it must
-    survive. Allocation-free in steady state. *)
+    and executes one instance whose thread [tid] starts at
+    [starts.(off + tid)] — one slice of a runner's flat per-iteration
+    buffer. The returned outcome is [ws]'s reused record — copy it with
+    {!snapshot} before the next run if it must survive. Allocation-free
+    in steady state.
+
+    @raise Invalid_argument if [starts] has no room for one start per
+    thread from [off] on, or [ws] belongs to a different kernel. *)
 
 val run :
   t -> workspace -> prng:Mcm_util.Prng.t -> starts:float array -> Mcm_litmus.Litmus.outcome
@@ -180,7 +191,8 @@ module Schema : sig
   val workspace : t -> workspace
   (** A fresh workspace sized for the column's maxima. *)
 
-  val run_next : t -> workspace -> variant:int -> starts:float array -> Mcm_litmus.Litmus.outcome
+  val run_next :
+    t -> workspace -> variant:int -> starts:float array -> off:int -> Mcm_litmus.Litmus.outcome
   (** As the top-level {!val:run_next}, for the selected variant. *)
 
   val run :

@@ -60,4 +60,6 @@ let classifier test =
       Hashtbl.replace table o b)
     (List.sort_uniq compare
        (List.map (Litmus.outcome_of_execution test) (Enumerate.candidates test)));
-  fun outcome -> match Hashtbl.find_opt table outcome with Some b -> b | None -> Forbidden
+  (* [find] rather than [find_opt]: a hit returns the stored constant
+     without boxing it in an option, once per classified instance. *)
+  fun outcome -> match Hashtbl.find table outcome with b -> b | exception Not_found -> Forbidden

@@ -84,6 +84,23 @@ let compile ?(layout = Scope.default_layout) t =
     t.threads;
   { events = Array.of_list (List.rev !events); reg_of_event = Array.of_list (List.rev !regs) }
 
+(* Monomorphic structural equality: the same answer as [=] on outcomes
+   without the polymorphic compare's tag dispatch, and no allocation. *)
+let rec ints_equal_from (a : int array) (b : int array) i =
+  i >= Array.length a || (a.(i) = b.(i) && ints_equal_from a b (i + 1))
+
+let ints_equal (a : int array) b = Array.length a = Array.length b && ints_equal_from a b 0
+
+let rec rows_equal_from (a : int array array) (b : int array array) i =
+  i >= Array.length a || (ints_equal a.(i) b.(i) && rows_equal_from a b (i + 1))
+
+let outcome_equal o p =
+  ints_equal o.final p.final
+  && Array.length o.regs = Array.length p.regs
+  && rows_equal_from o.regs p.regs 0
+
+let rec outcome_mem o = function [] -> false | p :: rest -> outcome_equal o p || outcome_mem o rest
+
 let empty_outcome t = { regs = Array.map (fun n -> Array.make n 0) (nregs t); final = Array.make t.nlocs 0 }
 
 let outcome_of_execution t (x : Execution.t) =

@@ -66,6 +66,12 @@ val outcome_of_execution : t -> Mcm_memmodel.Execution.t -> outcome
     [compile t]'s events); final memory is the value of the last write in
     each location's coherence order. *)
 
+val outcome_mem : outcome -> outcome list -> bool
+(** [outcome_mem o set] is [List.mem o set]: true when some element has
+    [o]'s shape and values. Monomorphic over the int arrays and
+    allocation-free, for target predicates that run once per executed
+    instance. *)
+
 val empty_outcome : t -> outcome
 (** [empty_outcome t] is an all-zero outcome with the right shape. *)
 

@@ -99,6 +99,10 @@ let cell_of_json v =
   let* env_json = json_field "env" v in
   let* c_env = Params.of_json env_json in
   let* c_iterations = int_field "iterations" v in
+  let* () =
+    if c_iterations >= 0 then Ok ()
+    else Error (Printf.sprintf "cell \"iterations\" must be non-negative, got %d" c_iterations)
+  in
   let* c_seed = int_field "seed" v in
   let* engine_name = str_field "engine" v in
   let* c_engine =

@@ -104,5 +104,9 @@ val to_json : t -> Mcm_util.Jsonw.t
 
 val of_json : Mcm_util.Jsonw.t -> (t, string) result
 (** Inverse of {!to_json} — the wire codec the serve protocol uses to
-    ship environments. [of_json (to_json env) = Ok env] for every [env];
-    errors name the missing or ill-typed field. *)
+    ship environments. [of_json (to_json env) = Ok env] for every [env]
+    with at least one testing workgroup and one thread per workgroup,
+    which covers the baselines and every {!random} env. Errors name the
+    missing, ill-typed or out-of-range field: [testingWorkgroups] and
+    [threadsPerWorkgroup] below 1 are refused, since role assignment
+    divides by them. *)

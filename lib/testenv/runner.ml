@@ -193,10 +193,11 @@ let arena_workspace k =
 
 (* The memoized campaign prefix: everything [campaign] derives from
    (engine, test, device, env) before touching iterations or seed —
-   effective weak params, bug effect, instance counts, slice shapes,
-   the horizon, the iteration time, and (for the kernel engine) the
-   compiled kernel itself. Cells that differ only in mutation scalars,
-   bug flags, iterations or seed reuse one prefab.
+   effective weak params, bug effect, instance counts, the hoisted
+   role-assignment constants, the horizon, the iteration time, and
+   (for the kernel engine) the compiled kernel itself. Cells that
+   differ only in mutation scalars, bug flags, iterations or seed reuse
+   one prefab.
 
    Keyed per domain (no locks) by test name, refined by physical
    equality on the test (its [target] is a closure) and structural
@@ -210,7 +211,7 @@ type prefab = {
   p_engine : engine;
   p_bugs : Mcm_gpu.Bug.effect;
   p_instances : int;
-  p_slice_instrs : int array;
+  p_assign : Assignment.t;
   p_weak : Instance.weak_params;
   p_horizon : float;
   p_iteration_ns : float;
@@ -270,7 +271,7 @@ let build_prefab ~plan ~engine ~device ~env ~test =
     p_engine = engine;
     p_bugs = bugs;
     p_instances = instances;
-    p_slice_instrs = slice_instrs;
+    p_assign = Assignment.make ~profile ~env ~slice_instrs ~instances;
     p_weak = weak;
     p_horizon = horizon;
     p_iteration_ns = iteration_ns;
@@ -324,57 +325,64 @@ let prefab_for ~plan ~engine ~device ~env ~test =
    to call from any domain. *)
 let campaign ~engine ~plan ~classify ~collect ~device ~env ~test ~seed =
   let pf = prefab_for ~plan ~engine ~device ~env ~test in
-  let profile = device.Device.profile in
   let bugs = pf.p_bugs in
   let roles = Litmus.nthreads test in
   let instances = pf.p_instances in
-  let slice_instrs = pf.p_slice_instrs in
+  let assign = pf.p_assign in
   let weak = pf.p_weak in
   let horizon = pf.p_horizon in
   let iteration_ns = pf.p_iteration_ns in
+  let target = test.Litmus.target in
   (* The kernel engine compiles the (test, device, env) triple once per
      campaign (Per_cell) or once per image family (Schema); each domain
      then executes every instance against its own reused workspace, so
      the steady-state instance path allocates nothing. Both engines
-     consume identical PRNG draws — the kernel's parent stream is the
-     iteration PRNG captured after [role_starts], and [run_next] splits
-     a child per executed instance exactly as the interpreter arm's
-     [Prng.split] does. *)
+     read one role assignment per iteration (the interpreter a copy of
+     each instance's slice) and consume identical PRNG draws — the
+     kernel's parent stream is the iteration PRNG captured after
+     [Assignment.fill], and [run_next] splits a child per executed
+     instance exactly as the interpreter arm's [Prng.split] does. *)
   let kernel = pf.p_kernel in
   let acquire_ws =
     match plan with Request.Per_cell -> workspace_for | Request.Schema -> arena_workspace
   in
   let run_iteration it =
     let prng = Prng.create (Prng.mix seed it) in
-    let starts = Assignment.role_starts ~prng ~profile ~env ~slice_instrs ~instances in
-    let exec, keep =
+    let starts = Assignment.fill assign ~prng in
+    let kernel_ws =
       match kernel with
-      | None ->
-          ( (fun s ->
-              Instance.run ~layout:pf.p_layout ~prng:(Prng.split prng) ~weak ~bugs ~test
-                ~starts:s ()),
-            fun o -> o )
+      | None -> None
       | Some k ->
           let ws = acquire_ws k in
           Kernel.set_parent ws prng;
-          (* The kernel returns its workspace's reused outcome record;
-             snapshot it only when the campaign actually collects. *)
-          ((fun s -> Kernel.run_next k ws ~starts:s), fun _ -> Kernel.snapshot ws)
+          Some (k, ws)
     in
     let kills = ref 0 and skipped = ref 0 in
     let sequential = ref 0 and interleaved = ref 0 and weak_n = ref 0 and forbidden = ref 0 in
     let observed = ref [] in
     for i = 0 to instances - 1 do
-      let s = starts.(i) in
-      let lo = ref s.(0) and hi = ref s.(0) in
+      let off = i * roles in
+      let lo = ref starts.(off) and hi = ref starts.(off) in
       for r = 1 to roles - 1 do
-        if s.(r) < !lo then lo := s.(r);
-        if s.(r) > !hi then hi := s.(r)
+        let s = starts.(off + r) in
+        if s < !lo then lo := s;
+        if s > !hi then hi := s
       done;
       if !hi -. !lo <= horizon then begin
-        let outcome = exec s in
-        if test.Litmus.target outcome then incr kills;
-        if collect then observed := keep outcome :: !observed;
+        let outcome =
+          match kernel_ws with
+          | Some (k, ws) -> Kernel.run_next k ws ~starts ~off
+          | None ->
+              Instance.run ~layout:pf.p_layout ~prng:(Prng.split prng) ~weak ~bugs ~test
+                ~starts:(Array.sub starts off roles) ()
+        in
+        if target outcome then incr kills;
+        if collect then
+          (* The kernel returns its workspace's reused outcome record;
+             snapshot it only when the campaign actually collects. *)
+          observed :=
+            (match kernel_ws with Some (_, ws) -> Kernel.snapshot ws | None -> outcome)
+            :: !observed;
         match classify with
         | None -> ()
         | Some classify -> (

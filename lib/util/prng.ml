@@ -99,6 +99,26 @@ module Raw = struct
   let[@inline always] split_into ~child ~parent =
     unsafe_set64 child 0 (next_int64 parent)
 
+  let[@inline always] bits62 b = Int64.to_int (Int64.shift_right_logical (next_int64 b) 2)
+
+  let int b n =
+    if n <= 0 then invalid_arg "Prng.Raw.int: bound must be positive";
+    let max62 = (1 lsl 62) - 1 in
+    let limit = max62 - (max62 mod n) in
+    let v = ref (bits62 b) in
+    while !v >= limit do
+      v := bits62 b
+    done;
+    !v mod n
+
+  let shuffle_in_place b (a : int array) ~len =
+    for i = len - 1 downto 1 do
+      let j = int b (i + 1) in
+      let tmp = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- tmp
+    done
+
   let[@inline always] float b x =
     let v = Int64.to_float (Int64.shift_right_logical (next_int64 b) 11) in
     x *. (v /. 9007199254740992.0 (* 2^53 *))

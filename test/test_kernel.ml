@@ -135,14 +135,19 @@ let prop_run_next_matches_split =
       let weak, bugs = random_config g in
       let kernel = Kernel.compile ~weak ~bugs ~test () in
       let ws = Kernel.workspace kernel in
-      let starts = Array.init (Litmus.nthreads test) (fun _ -> Prng.float g 60.) in
+      (* A flat instance-major buffer, as the runner hands over: instance
+         i's threads start at [i * nthreads]. *)
+      let nthreads = Litmus.nthreads test in
+      let flat = Array.init (10 * nthreads) (fun _ -> Prng.float g 60.) in
       let parent_int = Prng.of_int64 (Prng.state g) in
       let parent_ker = Prng.of_int64 (Prng.state g) in
       Kernel.set_parent ws parent_ker;
       let ok = ref true in
-      for _ = 1 to 10 do
+      for i = 0 to 9 do
+        let off = i * nthreads in
+        let starts = Array.sub flat off nthreads in
         let o_int = Instance.run ~prng:(Prng.split parent_int) ~weak ~bugs ~test ~starts () in
-        let o_ker = Kernel.run_next kernel ws ~starts in
+        let o_ker = Kernel.run_next kernel ws ~starts:flat ~off in
         if o_int <> o_ker then ok := false
       done;
       !ok)

@@ -176,7 +176,12 @@ let prop_schema_run_next_matches_split =
         let o_ref =
           Instance.run ~prng:(Prng.split parent_ref) ~weak ~bugs ~test ~starts:starts.(v) ()
         in
-        let o_sch = Kernel.Schema.run_next schema sws ~variant:v ~starts:starts.(v) in
+        (* The slice sits at an offset inside a padded buffer, as in a
+           runner's flat per-iteration starts. *)
+        let off = 1 + run in
+        let flat = Array.make (off + Array.length starts.(v) + 2) (-1.) in
+        Array.blit starts.(v) 0 flat off (Array.length starts.(v));
+        let o_sch = Kernel.Schema.run_next schema sws ~variant:v ~starts:flat ~off in
         if o_ref <> o_sch then ok := false
       done;
       !ok)

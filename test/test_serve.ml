@@ -267,6 +267,72 @@ let mk_cell ?(iterations = 60) ?(seed = 11) name =
     c_engine = Request.Kernel;
   }
 
+(* -------------------------------------------------------------------- *)
+(* Bad cells are refused at decode                                        *)
+
+(* A parallel env with zero threads per workgroup divides by zero in
+   role assignment, and a negative iteration count makes the pool
+   refuse the task; both used to escape the daemon's loop. They must be
+   decode errors naming the field instead. *)
+let bad_env = { (Params.scaled Params.pte_baseline 0.02) with Params.threads_per_workgroup = 0 }
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let expect_error what field = function
+  | Ok _ -> Alcotest.failf "%s: accepted" what
+  | Error e -> check (Printf.sprintf "%s: error %S names %s" what e field) true (contains e field)
+
+let test_env_layout_rejected () =
+  let with_field name value =
+    match Params.to_json (Params.scaled Params.pte_baseline 0.02) with
+    | Jsonw.Obj fields ->
+        Jsonw.Obj (List.map (fun (k, v) -> if k = name then (k, Jsonw.Int value) else (k, v)) fields)
+    | _ -> Alcotest.fail "env is not an object"
+  in
+  List.iter
+    (fun (field, value) ->
+      expect_error
+        (Printf.sprintf "%s = %d" field value)
+        (Printf.sprintf "%S" field)
+        (Params.of_json (with_field field value)))
+    [ ("threadsPerWorkgroup", 0); ("threadsPerWorkgroup", -4); ("testingWorkgroups", 0) ];
+  let cell = { (mk_cell "MP-CO-m") with Proto.c_env = bad_env } in
+  expect_error "cell with a zero-thread env" "threadsPerWorkgroup"
+    (Proto.cell_of_json (Proto.cell_to_json cell))
+
+let test_negative_iterations_rejected () =
+  let cell = mk_cell ~iterations:(-1) "MP-CO-m" in
+  expect_error "cell with iterations -1" "iterations" (Proto.cell_of_json (Proto.cell_to_json cell));
+  expect_error "submit line with iterations -1" "iterations"
+    (Proto.client_of_line
+       (Proto.client_to_line
+          (Proto.Submit { id = "bad"; kind = "run"; priority = 0; cells = [ cell ] })));
+  (* Zero iterations is an empty campaign, not an error. *)
+  match Proto.cell_of_json (Proto.cell_to_json (mk_cell ~iterations:0 "MP-CO-m")) with
+  | Ok c -> check_int "zero iterations kept" 0 c.Proto.c_iterations
+  | Error e -> Alcotest.failf "zero iterations refused: %s" e
+
+let test_valid_envs_roundtrip () =
+  let g = Mcm_util.Prng.create 5 in
+  let randoms =
+    List.concat
+      (List.init 100 (fun _ ->
+           List.concat_map
+             (fun mode ->
+               let env = Params.random g mode in
+               [ env; Params.scaled env 0.01; Params.with_scope env Params.Intra_workgroup ])
+             [ Params.Single; Params.Parallel ]))
+  in
+  List.iter
+    (fun env ->
+      match Params.of_json (Params.to_json env) with
+      | Ok env' -> check "env round-trips" true (env = env')
+      | Error e -> Alcotest.failf "valid env refused: %s" e)
+    ([ Params.site_baseline; Params.pte_baseline; test_env ] @ randoms)
+
 let spawn_daemon ?(jobs = 2) ~dir () =
   let socket = Filename.concat dir "serve.sock" in
   let store = Filename.concat dir "store" in
@@ -489,6 +555,50 @@ let test_drain_and_shutdown () =
       wait_daemon pid;
       check "socket removed on graceful exit" false (Sys.file_exists socket))
 
+(* One client's bad cells get error replies; the daemon keeps serving
+   that client and the next one. *)
+let test_bad_cells_answered () =
+  with_temp_dir (fun dir ->
+      let pid, socket, _store = spawn_daemon ~dir () in
+      Fun.protect
+        ~finally:(fun () -> if Sys.file_exists socket then shutdown_daemon socket pid)
+        (fun () ->
+          let a = connect_ok ~name:"bad" socket in
+          let rec error_reply () =
+            match Client.recv a with
+            | Ok (Proto.Error { message; _ }) -> message
+            | Ok _ -> error_reply ()
+            | Error e -> Alcotest.failf "daemon gone after a bad cell: %s" e
+          in
+          List.iter
+            (fun (id, cell, field) ->
+              Client.send a (Proto.Submit { id; kind = "run"; priority = 0; cells = [ cell ] });
+              let message = error_reply () in
+              check (Printf.sprintf "%s: %S names %s" id message field) true
+                (contains message field))
+            [
+              ("zero-threads", { (mk_cell "MP-CO-m") with Proto.c_env = bad_env }, "threadsPerWorkgroup");
+              ("negative-iterations", mk_cell ~iterations:(-1) "MP-CO-m", "iterations");
+            ];
+          (* The same connection still works... *)
+          Client.send a Proto.Ping;
+          let rec pong () =
+            match Client.recv a with
+            | Ok Proto.Pong -> ()
+            | Ok _ -> pong ()
+            | Error e -> Alcotest.failf "no pong: %s" e
+          in
+          pong ();
+          Client.close a;
+          (* ...and so does the next client's grid. *)
+          let b = connect_ok ~name:"good" socket in
+          Client.send b
+            (Proto.Submit { id = "good"; kind = "run"; priority = 0; cells = [ mk_cell "MP-CO-m" ] });
+          let _, _, _, res = collect b "good" 1 in
+          check "good cell computed" true (not res.(0).Client.cached);
+          Client.close b;
+          shutdown_daemon socket pid))
+
 (* A client speaking the wrong protocol version is refused at hello. *)
 let test_protocol_mismatch () =
   with_temp_dir (fun dir ->
@@ -526,6 +636,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_client_roundtrip;
           QCheck_alcotest.to_alcotest prop_server_roundtrip;
           QCheck_alcotest.to_alcotest prop_frame_chunking;
+          Alcotest.test_case "env layout below 1 rejected" `Quick test_env_layout_rejected;
+          Alcotest.test_case "negative iterations rejected" `Quick
+            test_negative_iterations_rejected;
+          Alcotest.test_case "valid envs round-trip" `Quick test_valid_envs_roundtrip;
         ] );
       ( "ro-store",
         [
@@ -539,5 +653,7 @@ let () =
           Alcotest.test_case "kill and resume" `Quick test_kill_and_resume;
           Alcotest.test_case "drain and shutdown" `Quick test_drain_and_shutdown;
           Alcotest.test_case "protocol mismatch" `Quick test_protocol_mismatch;
+          Alcotest.test_case "bad cells answered, daemon serves on" `Quick
+            test_bad_cells_answered;
         ] );
     ]

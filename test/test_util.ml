@@ -392,7 +392,14 @@ let prop_json_write_parse_roundtrip =
    exact stream of the boxed generator, op for op — the compiled
    instance kernel's results are only bit-identical to the interpreter's
    because of this. *)
-type raw_op = Draw | FloatDraw of float | Bernoulli of float | Exponential of float | Split
+type raw_op =
+  | Draw
+  | FloatDraw of float
+  | Bernoulli of float
+  | Exponential of float
+  | Split
+  | Int of int
+  | Shuffle of int * int  (* array length, prefix shuffled *)
 
 let arbitrary_raw_ops =
   let open QCheck.Gen in
@@ -404,6 +411,11 @@ let arbitrary_raw_ops =
         (2, map (fun p -> Bernoulli p) (float_range 0. 1.));
         (2, map (fun m -> Exponential m) (float_range 0. 50.));
         (1, return Split);
+        (* Bounds near 2^62 make the rejection loop redraw. *)
+        (2, map (fun n -> Int n) (oneof [ int_range 1 1000; int_range ((1 lsl 61) + 1) max_int ]));
+        ( 1,
+          int_range 0 40 >>= fun len ->
+          map (fun extra -> Shuffle (len + extra, len)) (int_range 0 5) );
       ]
   in
   QCheck.make
@@ -425,6 +437,18 @@ let prop_prng_raw_differential =
           | FloatDraw b -> Prng.float g b = Prng.Raw.float st b
           | Bernoulli p -> Prng.bernoulli g p = Prng.Raw.bernoulli st p
           | Exponential m -> Prng.exponential g m = Prng.Raw.exponential st m
+          | Int n -> Prng.int g n = Prng.Raw.int st n
+          | Shuffle (size, len) ->
+              (* The raw shuffle permutes only the prefix of a larger
+                 array, exactly as the boxed one permutes a whole array
+                 of that length. *)
+              let boxed = Array.init len (fun i -> i) in
+              let raw = Array.init size (fun i -> i) in
+              Prng.shuffle_in_place g boxed;
+              Prng.Raw.shuffle_in_place st raw ~len;
+              Array.sub raw 0 len = boxed
+              && Array.sub raw len (size - len) = Array.init (size - len) (fun i -> len + i)
+              && Prng.next_int64 g = Prng.Raw.next_int64 st
           | Split ->
               let child_boxed = Prng.split g in
               let child_raw = Prng.Raw.make () in
