@@ -21,7 +21,9 @@ bench-smoke:
 # Compiled instance kernel vs interpreter (writes BENCH_instance.json).
 # Built with --profile release: the kernel's zero-allocation steady
 # state needs cross-module inlining, which the dev profile's -opaque
-# disables. Fails if the engines diverge or the kernel allocates.
+# disables. Fails if the engines diverge, the direct kernel loop
+# allocates, or the kernel campaign (role assignment to tally)
+# allocates more than one minor word per instance.
 bench-instance:
 	MCM_BENCH_PART=instance dune exec --profile release bench/main.exe
 
