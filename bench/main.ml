@@ -1337,6 +1337,7 @@ let serve_bench ~smoke () =
       [
         ("benchmark", Jsonw.String "campaign-service");
         ("smoke", Jsonw.Bool smoke);
+        ("cores", Jsonw.Int (Pool.default_domains ()));
         ("grid_points", Jsonw.Int n);
         ("iterations", Jsonw.Int iterations);
         ("direct_s", Jsonw.Float direct_s);

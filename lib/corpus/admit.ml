@@ -264,10 +264,6 @@ let dedup entries =
 (* ------------------------------------------------------------------ *)
 (* Parallel driving                                                     *)
 
-let with_pool ~domains f =
-  let pool = Pool.create ~domains () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
-
 let short_hash s = Printf.sprintf "%Lx" (Key.fnv1a64 s)
 
 (* Deterministic fan-out: shard [(k, n)] keeps every [n]-th element
@@ -293,7 +289,7 @@ let generated ?(engine = Engine.default) ?(cross_check = false) ?(domains = 1) ?
   let arr = Array.of_list sampled in
   let family = Version.family ~tag:"generated" in
   let results =
-    with_pool ~domains (fun pool ->
+    Pool.with_pool ~domains (fun pool ->
         Pool.map_array pool ~n:(Array.length arr) ~f:(fun i ->
             let sk = arr.(i) in
             let skeleton = Generate.to_string sk in
@@ -346,7 +342,7 @@ let operator_mutants ?(engine = Engine.default) ?(cross_check = false) ?(domains
   let variants = shard_slice shard variants in
   let arr = Array.of_list variants in
   let results =
-    with_pool ~domains (fun pool ->
+    Pool.with_pool ~domains (fun pool ->
         Pool.map_array pool ~n:(Array.length arr) ~f:(fun i ->
             let parent, op, label, threads = arr.(i) in
             let op_name = Mutator.op_name op in

@@ -328,11 +328,8 @@ type recheck = {
 
 let recertify ?(domains = 1) t =
   let arr = Array.of_list t.entries in
-  let pool = Pool.create ~domains () in
   let rechecks =
-    Fun.protect
-      ~finally:(fun () -> Pool.shutdown pool)
-      (fun () ->
+    Pool.with_pool ~domains (fun pool ->
         Pool.map_array pool ~n:(Array.length arr) ~f:(fun i ->
             let (e : Admit.entry) = arr.(i) in
             let ve = Admit.certify ~engine:Engine.Enumerate e.polarity e.test in

@@ -19,14 +19,17 @@ let map (c : Request.ctx) ~n ~f =
   if n = 0 then [||]
   else if c.Request.domains <= 1 then Array.init n f
   else
-    Pool.with_pool ~domains:c.Request.domains (fun pool ->
-        Pool.map_array ~chunk:(Request.chunk_for c ~n) pool ~n ~f)
+    let on pool = Pool.map_array ~chunk:(Request.chunk_for c ~n) pool ~n ~f in
+    match c.Request.pool with
+    | Some pool -> on pool
+    | None -> Pool.with_pool ~domains:c.Request.domains on
 
 let run_stats (c : Request.ctx) g =
   (* Cells compute serially — the grid axis is the parallel unit, and
      store/journal I/O stays confined to this (the calling) domain. The
      context's plan rides along: it only selects the compile/memoization
-     strategy inside the worker domain. *)
+     strategy inside the worker domain. The cell context carries no
+     pool: a cell running on the grid's pool must not submit to it. *)
   let cell_ctx = { Request.serial with Request.plan = c.Request.plan } in
   let cell i = Runner.exec g.collect (g.request i) cell_ctx in
   match c.Request.store with
@@ -39,7 +42,8 @@ let run_stats (c : Request.ctx) g =
         | _ -> None
       in
       let arr, stats =
-        Sched.run ~domains:c.Request.domains ?chunk:c.Request.chunk ?journal ?family:g.family
+        Sched.run ~domains:c.Request.domains ?pool:c.Request.pool ?chunk:c.Request.chunk ?journal
+          ?family:g.family
           ~store ~key ~encode:(Runner.encode g.collect) ~decode:(Runner.decode g.collect)
           ~f:cell ~n:g.n ()
       in

@@ -13,6 +13,8 @@
     Cells always compute with {!Mcm_testenv.Request.serial}: the grid
     axis is the parallel unit and store/journal I/O stays in the calling
     domain, matching the {!Mcm_campaign.Store} single-domain contract.
+    A context that borrows a pool runs the grid on it (no pool is
+    spawned per call); the cells themselves never see it.
     Results land at their grid index, so [run] is bit-identical for every
     domain count and for warm versus cold stores. *)
 

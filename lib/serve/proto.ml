@@ -83,6 +83,16 @@ let cell_to_json c =
       ("engine", Jsonw.String (Request.engine_name c.c_engine));
     ]
 
+(* 4x the largest grid the paper's tuning draws (1024 workgroups of 256
+   threads). A cell's grid sizes the runner's per-domain buffers, so a
+   larger one would exhaust memory or raise out of the daemon's loop. *)
+let max_grid_threads = 1_048_576
+
+(* [a * b <= max_grid_threads] for positive [a] and [b], without
+   computing the (possibly overflowing) product. *)
+let grid_within_limit (env : Params.t) =
+  env.Params.testing_workgroups <= max_grid_threads / env.Params.threads_per_workgroup
+
 let cell_of_json v =
   let* test_obj = json_field "test" v in
   let* c_test =
@@ -98,6 +108,15 @@ let cell_of_json v =
   let* c_bugs = bool_field "bugs" v in
   let* env_json = json_field "env" v in
   let* c_env = Params.of_json env_json in
+  let* () =
+    if grid_within_limit c_env then Ok ()
+    else
+      Error
+        (Printf.sprintf
+           "cell env: \"testingWorkgroups\" (%d) x \"threadsPerWorkgroup\" (%d) exceeds the \
+            limit of %d threads per grid"
+           c_env.Params.testing_workgroups c_env.Params.threads_per_workgroup max_grid_threads)
+  in
   let* c_iterations = int_field "iterations" v in
   let* () =
     if c_iterations >= 0 then Ok ()

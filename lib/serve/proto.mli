@@ -51,7 +51,7 @@ type client_msg =
           ["outcomes"]); higher [priority] runs first. *)
   | Watch  (** subscribe to [Progress] events *)
   | Report  (** per-test/per-device/per-env service counters *)
-  | Queue  (** queued and in-flight cell listing *)
+  | Queue  (** queued and in-flight cell listing, plus the live worker domains *)
   | Drain  (** stop accepting new submissions; finish what is queued *)
   | Shutdown  (** graceful stop: flush the store, farewell every client *)
   | Ping
@@ -76,10 +76,19 @@ type server_msg =
 (** {2 Codecs} *)
 
 val cell_to_json : cell -> Mcm_util.Jsonw.t
+val max_grid_threads : int
+(** [1_048_576]: the most threads ([testingWorkgroups ×
+    threadsPerWorkgroup]) a cell's grid may have — 4× the largest grid
+    the paper's tuning draws (1024 × 256). Fixed, not configurable: the
+    grid sizes per-domain buffers, so the daemon refuses larger ones at
+    decode rather than exhaust its memory. *)
+
 val cell_of_json : Mcm_util.Jsonw.t -> (cell, string) result
 (** Errors name the offending field. Beyond shape and type, a cell's
     env must pass {!Mcm_testenv.Params.of_json} (which refuses empty
-    layouts) and its [iterations] must be non-negative. *)
+    layouts), its grid must not exceed {!max_grid_threads} (the error
+    names both [testingWorkgroups] and [threadsPerWorkgroup]), and its
+    [iterations] must be non-negative. *)
 
 val client_to_json : client_msg -> Mcm_util.Jsonw.t
 val client_of_json : Mcm_util.Jsonw.t -> (client_msg, string) result

@@ -1,4 +1,5 @@
 module Jsonw = Mcm_util.Jsonw
+module Pool = Mcm_util.Pool
 module Key = Mcm_campaign.Key
 module Store = Mcm_campaign.Store
 module Suite = Mcm_core.Suite
@@ -66,6 +67,7 @@ type state = {
   mutable tick : int;  (** dispatch counter, feeds [last_dispatch] *)
   mutable accepting : bool;  (** false once draining *)
   mutable stopping : bool;
+  mutable pool : Pool.t option;  (** the worker domains, alive only while cells are queued *)
   started : float;
   (* cumulative service counters *)
   mutable n_sessions : int;
@@ -143,17 +145,39 @@ let kinds = [ "run"; "histogram"; "outcomes" ]
    deliberately carries no store: the daemon owns persistence so it can
    fsync before delivering, and so first-write-wins is enforced in one
    place. *)
-let compute_payload ~jobs request = function
-  | "run" ->
-      Runner.encode Runner.Rate
-        (Runner.exec Runner.Rate request (Request.context ~domains:jobs ()))
-  | "histogram" ->
-      Runner.encode Runner.Histogram
-        (Runner.exec Runner.Histogram request (Request.context ~domains:jobs ()))
-  | "outcomes" ->
-      Runner.encode Runner.Outcomes
-        (Runner.exec Runner.Outcomes request (Request.context ~domains:jobs ()))
+let compute_payload ~ctx request = function
+  | "run" -> Runner.encode Runner.Rate (Runner.exec Runner.Rate request ctx)
+  | "histogram" -> Runner.encode Runner.Histogram (Runner.exec Runner.Histogram request ctx)
+  | "outcomes" -> Runner.encode Runner.Outcomes (Runner.exec Runner.Outcomes request ctx)
   | kind -> failwith ("Mcm_serve.Server: unvalidated kind " ^ kind)
+
+(* The daemon owns its queue, so it owns the worker domains that drain
+   it: one pool of [jobs] domains, created for the first cold cell and
+   lent to every cell after it until the queue is empty. Spawning and
+   joining a domain per cell costs about as much as a small cell's
+   iterations, and starts every cell with cold per-domain caches
+   (images, prefabs, workspaces). Keeping the pool longer costs too: from start-up it
+   slows the daemon's start, and through warm-only traffic it slows the
+   I/O loop, since every minor collection stops all live domains. *)
+let cell_ctx st =
+  if st.cfg.jobs <= 1 then Request.serial
+  else
+    let pool =
+      match st.pool with
+      | Some p -> p
+      | None ->
+          let p = Pool.create ~domains:st.cfg.jobs () in
+          st.pool <- Some p;
+          p
+    in
+    Request.context ~pool ()
+
+let release_pool st =
+  match st.pool with
+  | None -> ()
+  | Some p ->
+      st.pool <- None;
+      Pool.shutdown p
 
 (* ------------------------------------------------------------------ *)
 (* Ledger                                                               *)
@@ -380,7 +404,7 @@ let execute_job st conn job =
   let t, d, e = job.jlabel in
   log st "compute %s: %s on %s in %s (%d waiter(s))" (Key.to_hex job.jkey) t d e
     (List.length job.jwaiters);
-  let payload = compute_payload ~jobs:st.cfg.jobs job.jrequest job.jkind in
+  let payload = compute_payload ~ctx:(cell_ctx st) job.jrequest job.jkind in
   (* Durability before delivery: the record is on disk and fsynced
      before any client learns the result, so a crash right after a
      reply never loses a cell a client saw. *)
@@ -484,6 +508,8 @@ let queue_json st =
   Jsonw.Obj
     [
       ("draining", Jsonw.Bool (not st.accepting));
+      (* Worker domains alive now: [jobs - 1] while cells are queued, else 0. *)
+      ("workers", Jsonw.Int (match st.pool with Some p -> Pool.domains p - 1 | None -> 0));
       ("queued", Jsonw.List (List.map job_json (by_seq queued)));
       ("inflight", Jsonw.List (List.map job_json (by_seq inflight)));
     ]
@@ -651,6 +677,7 @@ let run ?(on_ready = fun () -> ()) cfg =
       tick = 0;
       accepting = true;
       stopping = false;
+      pool = None;
       started = Unix.gettimeofday ();
       n_sessions = 0;
       n_submissions = 0;
@@ -730,17 +757,24 @@ let run ?(on_ready = fun () -> ()) cfg =
          (match pick_job st with
          | Some (conn, job) -> execute_job st conn job
          | None -> ());
+         (* The queue is empty: hand the worker domains back before the
+            results go out, so a client's next request (often all warm
+            hits) never waits for the join. *)
+         if Option.is_some st.pool && pick_job st = None then release_pool st;
          List.iter (fun c -> flush_out st c) st.conns
        end
      done
    with e ->
      restore_signals ();
+     (try release_pool st with _ -> ());
      (try Store.close store with _ -> ());
      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) st.listeners;
      (try Sys.remove cfg.socket_path with Sys_error _ -> ());
      raise e);
   (* Graceful exit: fail the waiters of anything still queued, farewell
-     every client, push the last bytes out, release the store. *)
+     every client, push the last bytes out, release the domains and the
+     store. *)
+  release_pool st;
   Hashtbl.iter
     (fun _ j ->
       List.iter

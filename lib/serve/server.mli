@@ -10,7 +10,12 @@
       or running (across all clients: the second submitter joins the
       first's cell as a waiter and both receive the one result), then
       queued and executed one cell at a time, each campaign fanning its
-      iterations over [jobs] worker domains;
+      iterations over [jobs] worker domains. The daemon owns one pool of
+      [jobs] domains whose lifetime is its queue: created when a cold
+      cell is dispatched and none is alive, lent to every cell through
+      [Mcm_testenv.Request.ctx], and shut down as soon as the queue is
+      empty and on every exit path. No domain is spawned at start-up or
+      kept alive while only warm hits are served;
     - {e fairness}: the next cell to run is picked from the eligible
       client with the highest queued priority, ties broken
       least-recently-served, FIFO within a client — one client's huge
@@ -38,7 +43,7 @@ type config = {
   store_dir : string;  (** campaign store directory (created if needed) *)
   socket_path : string;  (** Unix-domain socket path *)
   port : int option;  (** also listen on 127.0.0.1:port *)
-  jobs : int;  (** worker domains per campaign *)
+  jobs : int;  (** worker domains per campaign, alive while cells are queued *)
   verbose : bool;  (** per-event logging on stderr *)
 }
 

@@ -53,16 +53,29 @@ let plan_of_name name = List.assoc_opt (String.lowercase_ascii name) plans
 
 type ctx = {
   domains : int;
+  pool : Pool.t option;
   chunk : int option;
   store : Mcm_campaign.Store.t option;
   journal : Mcm_campaign.Journal.t option;
   plan : plan;
 }
 
-let serial = { domains = 1; chunk = None; store = None; journal = None; plan = Schema }
+let serial =
+  { domains = 1; pool = None; chunk = None; store = None; journal = None; plan = Schema }
 
-let context ?(domains = 1) ?chunk ?store ?journal ?(plan = Schema) () =
-  { domains; chunk; store; journal; plan }
+let context ?pool ?domains ?chunk ?store ?journal ?(plan = Schema) () =
+  let domains =
+    match (pool, domains) with
+    | None, d -> Option.value d ~default:1
+    | Some p, None -> Pool.domains p
+    | Some p, Some d ->
+        if d <> Pool.domains p then
+          invalid_arg
+            (Printf.sprintf "Request.context: ~domains:%d conflicts with the pool's %d domains" d
+               (Pool.domains p));
+        d
+  in
+  { domains; pool; chunk; store; journal; plan }
 
 let chunk_for c ~n =
   match c.chunk with

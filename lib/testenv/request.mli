@@ -13,7 +13,15 @@
     and examples: the domain count, the pool chunk size, the result
     {!Mcm_campaign.Store} and the sweep {!Mcm_campaign.Journal}. Build it
     once ({!context}) and pass it by value; {!serial} is the zero-resource
-    default (one domain, no store). *)
+    default (one domain, no store).
+
+    A context may also carry a borrowed {!Mcm_util.Pool.t}. Every
+    consumer of the context ([Runner.exec], [Grid.map], [Grid.run]) then
+    runs on that pool instead of spawning one per call, so a long-lived
+    owner — the campaign daemon — pays for worker domains, and warms
+    their per-domain caches, once per queue rather than once per cell.
+    The owner shuts the pool down; consumers never do. Results are
+    bit-identical with or without a pool. *)
 
 (** {2 Engines} *)
 
@@ -101,6 +109,9 @@ val plan_of_name : string -> plan option
 
 type ctx = {
   domains : int;  (** worker domains; 1 = serial *)
+  pool : Mcm_util.Pool.t option;
+      (** a borrowed pool of [domains] domains to run on; [None] spawns
+          a transient pool per parallel call *)
   chunk : int option;  (** pool dispatch chunk; [None] = {!chunk_for} default *)
   store : Mcm_campaign.Store.t option;  (** memoize cells here *)
   journal : Mcm_campaign.Journal.t option;  (** checkpoint sweeps here *)
@@ -111,6 +122,7 @@ val serial : ctx
 (** One domain, default chunking, no store, no journal, schema plan. *)
 
 val context :
+  ?pool:Mcm_util.Pool.t ->
   ?domains:int ->
   ?chunk:int ->
   ?store:Mcm_campaign.Store.t ->
@@ -118,7 +130,12 @@ val context :
   ?plan:plan ->
   unit ->
   ctx
-(** [domains] defaults to 1, [plan] to {!Schema}. *)
+(** [domains] defaults to the [pool]'s domain count when a pool is
+    given, else to 1; [plan] defaults to {!Schema}. The context borrows
+    [pool]: the caller keeps ownership and shuts it down.
+
+    Raises [Invalid_argument] if both [pool] and [domains] are given and
+    [domains] differs from {!Mcm_util.Pool.domains}[ pool]. *)
 
 val chunk_for : ctx -> n:int -> int
 (** The pool dispatch chunk for an [n]-task grid: the context's [chunk]

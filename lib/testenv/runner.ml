@@ -406,23 +406,24 @@ let campaign ~engine ~plan ~classify ~collect ~device ~env ~test ~seed =
   in
   (run_iteration, instances, iteration_ns)
 
-let run_campaign ?(engine = Kernel) ?(plan = Request.Schema) ?domains ?chunk
+let run_campaign ?(engine = Kernel) ?(plan = Request.Schema) ?pool ?domains ?chunk
     ?(collect = false) ~classify ~device ~env ~test ~iterations ~seed () =
   let run_iteration, instances, iteration_ns =
     campaign ~engine ~plan ~classify ~collect ~device ~env ~test ~seed
   in
+  let on pool =
+    Pool.map_reduce ?chunk pool ~n:iterations ~map:run_iteration ~fold:tally_add ~init:tally_zero
+  in
   let tally =
-    match domains with
-    | None | Some 1 ->
+    match (pool, domains) with
+    | Some p, _ -> on p
+    | None, (None | Some 1) ->
         let acc = ref tally_zero in
         for it = 0 to iterations - 1 do
           acc := tally_add !acc (run_iteration it)
         done;
         !acc
-    | Some d ->
-        Pool.with_pool ~domains:d (fun pool ->
-            Pool.map_reduce ?chunk pool ~n:iterations ~map:run_iteration ~fold:tally_add
-              ~init:tally_zero)
+    | None, Some d -> Pool.with_pool ~domains:d on
   in
   let sim_time_s = Timing.to_seconds (float_of_int iterations *. iteration_ns) in
   let result =
@@ -596,10 +597,12 @@ let decode : type a. a collect -> Jsonw.t -> (a, string) Stdlib.result = functio
 
 let compute : type a. a collect -> Request.t -> ctx:Request.ctx -> a =
  fun c (r : Request.t) ~ctx ->
-  let domains = if ctx.Request.domains <= 1 then None else Some ctx.Request.domains in
+  let pool, domains =
+    if ctx.Request.domains <= 1 then (None, None) else (ctx.Request.pool, Some ctx.Request.domains)
+  in
   let chunk = Request.chunk_for ctx ~n:r.Request.iterations in
   let go ?(collect = false) ~classify () =
-    run_campaign ~engine:r.Request.engine ~plan:ctx.Request.plan ?domains ~chunk ~collect
+    run_campaign ~engine:r.Request.engine ~plan:ctx.Request.plan ?pool ?domains ~chunk ~collect
       ~classify ~device:r.Request.device ~env:r.Request.env ~test:r.Request.test
       ~iterations:r.Request.iterations ~seed:r.Request.seed ()
   in

@@ -121,6 +121,7 @@ type tally = {
 val run_campaign :
   ?engine:engine ->
   ?plan:Request.plan ->
+  ?pool:Mcm_util.Pool.t ->
   ?domains:int ->
   ?chunk:int ->
   ?collect:bool ->
@@ -135,8 +136,9 @@ val run_campaign :
 (** One campaign, eagerly computed. [classify] fills the behaviour
     buckets ([None] leaves them zero); [collect] (default [false])
     accumulates the observed-outcome set. [domains]/[chunk] shard the
-    iteration axis over a transient pool; the tally is bit-identical
-    for every sharding.
+    iteration axis over a transient pool, or over [pool] when given (a
+    borrowed pool, not shut down; it overrides [domains]); the tally is
+    bit-identical for every sharding.
 
     [plan] (default {!Request.Schema}) picks the compile/memoization
     strategy: [Per_cell] compiles a fresh kernel and derives the full
@@ -167,9 +169,10 @@ type _ collect =
 val exec : 'a collect -> Request.t -> Request.ctx -> 'a
 (** [exec collect request ctx] runs the campaign [request] names.
     Fully deterministic in the request: the result is {e bit-identical}
-    for every [ctx.domains]/[ctx.chunk] value (each iteration derives its
-    PRNG independently via [Prng.mix seed it]; tallies sum associatively)
-    and for warm versus cold [ctx.store] (codecs round-trip exactly).
+    for every [ctx.domains]/[ctx.chunk] value, with or without a
+    borrowed [ctx.pool] (each iteration derives its PRNG independently
+    via [Prng.mix seed it]; tallies sum associatively) and for warm
+    versus cold [ctx.store] (codecs round-trip exactly).
     When [ctx.store] is set the cell is memoized under
     [Request.key ~kind:(kind collect)]; a cached payload that fails to
     decode is recomputed but not re-stored (first write wins). The store

@@ -96,7 +96,12 @@ let shutdown t =
    the stragglers the workers still hold. *)
 let run_job t job =
   Mutex.lock t.lock;
-  assert (Option.is_none t.job);
+  if Option.is_some t.job then begin
+    Mutex.unlock t.lock;
+    invalid_arg
+      "Pool: submission while the pool is running a job (nested, from inside one of its \
+       tasks, or concurrent, from another domain)"
+  end;
   t.job <- Some job;
   Condition.broadcast t.work;
   while job.next < job.n do

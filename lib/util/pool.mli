@@ -17,7 +17,24 @@
     The submitting domain participates in the work, so a pool of [k]
     domains applies [k] domains of compute ([k - 1] workers plus the
     caller). Pools are not re-entrant: submit from one domain at a time,
-    and do not submit from inside a task. *)
+    and do not submit from inside a task — either misuse raises
+    [Invalid_argument] (see {!map_array}).
+
+    Ownership. A pool is owned by whoever owns the queue of work it
+    serves, and only the owner shuts it down. A CLI call or a grid that
+    brings its own work uses {!with_pool} for exactly that call; the
+    campaign daemon owns its queue of cells, so it keeps one pool alive
+    while cells are queued and lends it to each cell through
+    [Mcm_testenv.Request.ctx]. Borrowers never shut a pool down. Two
+    costs of a live pool bound how long an owner should keep it:
+    - a live pool forbids [Unix.fork]; on OCaml 5.1 fork fails in any
+      process that has ever spawned a domain, even one since joined, so
+      a process that forks (a test or bench starting a daemon) must do
+      so before its first pool of more than one domain;
+    - every minor collection is stop-the-world across all running
+      domains, and idle workers (blocked on the queue) take part in each
+      one, so a pool kept alive through an allocation-heavy serial phase
+      (an I/O loop, say) slows that phase down. *)
 
 type t
 
@@ -35,6 +52,11 @@ val map_array : ?chunk:int -> t -> n:int -> f:(int -> 'a) -> 'a array
     indices across the pool's domains. If one or more tasks raise, every
     remaining task still runs, the pool stays usable, and the exception
     of the lowest-indexed failing task is re-raised in the caller.
+
+    Raises [Invalid_argument] if the pool is already running a job: a
+    task submitting to its own pool, or a second domain submitting
+    concurrently. The running job is unaffected, so a nested submission
+    surfaces as that task's exception, re-raised in the outer caller.
 
     Domains claim [chunk] consecutive indices per lock acquisition
     (clamped below by 1; default {!default_chunk}), so cheap tasks are

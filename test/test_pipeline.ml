@@ -201,6 +201,92 @@ let prop_exec_store_transparent =
       in
       agree Runner.Rate && agree Runner.Histogram && agree Runner.Outcomes)
 
+(* -------------------------------------------------------------------- *)
+(* Borrowed pools.                                                        *)
+
+module Pool = Mcm_util.Pool
+module Grid = Mcm_harness.Grid
+
+(* A deterministic spread of cells over SITE and PTE envs (a seeded
+   random PTE env with stress and shuffles among them), both engines and
+   iteration counts from 1 to 7, i.e. below, at and above the domain
+   count of the pools that run them. *)
+let pooled_requests =
+  lazy
+    (let tests = Lazy.force tests_pool and devices = Lazy.force devices_pool in
+     let envs =
+       [
+         Params.site_baseline;
+         Params.scaled Params.pte_baseline 0.01;
+         Params.scaled (Params.random (Prng.create 7) Params.Parallel) 0.01;
+         Params.random (Prng.create 8) Params.Single;
+       ]
+     in
+     Array.init 24 (fun i ->
+         Request.make
+           ~engine:(if i mod 3 = 2 then Request.Interpreter else Request.Kernel)
+           ~device:(List.nth devices (i mod 3))
+           ~env:(List.nth envs (i mod 4))
+           ~test:(List.nth tests (i / 4 mod 3))
+           ~iterations:(1 + (i mod 7))
+           ~seed:(1000 + i) ()))
+
+(* One pool serves every cell in turn, as the daemon's does: each cell,
+   under each collector, equals its serial run. *)
+let test_pool_reused_across_cells () =
+  let requests = Lazy.force pooled_requests in
+  List.iter
+    (fun domains ->
+      Pool.with_pool ~domains (fun pool ->
+          let ctx = Request.context ~pool () in
+          Alcotest.(check int) "domains taken from the pool" domains ctx.Request.domains;
+          Array.iteri
+            (fun i r ->
+              let same : type a. a Runner.collect -> unit =
+               fun c ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "cell %d (%s) on a %d-domain pool" i (Runner.kind c) domains)
+                  true
+                  (Runner.exec c r ctx = Runner.exec c r Request.serial)
+              in
+              same Runner.Rate;
+              same Runner.Histogram;
+              same Runner.Outcomes)
+            requests))
+    [ 2; 3 ]
+
+(* A grid on a borrowed pool equals the serial grid, store-less and
+   through a store (cold, then warm), with the same planner stats. *)
+let test_pooled_grid () =
+  let requests = Lazy.force pooled_requests in
+  let n = Array.length requests in
+  let grid = Grid.make Runner.Histogram ~n ~request:(Array.get requests) in
+  let cold_then_warm ctx_of =
+    with_temp_dir (fun dir ->
+        Store.with_store dir (fun store ->
+            let ctx = ctx_of store in
+            let cold = Grid.run_stats ctx grid in
+            [ cold; Grid.run_stats ctx grid ]))
+  in
+  let serial = Grid.run Request.serial grid in
+  let serial_store = cold_then_warm (fun store -> Request.context ~store ()) in
+  let stats hits = Some { Mcm_campaign.Sched.total = n; hits; misses = n - hits; decode_failures = 0 } in
+  Alcotest.(check bool) "serial store runs: results, then all misses and all hits" true
+    (serial_store = [ (serial, stats 0); (serial, stats n) ]);
+  Pool.with_pool ~domains:3 (fun pool ->
+      Alcotest.(check bool) "store-less" true
+        (Grid.run_stats (Request.context ~pool ()) grid = (serial, None));
+      Alcotest.(check bool) "through a store: results and stats" true
+        (cold_then_warm (fun store -> Request.context ~pool ~store ()) = serial_store))
+
+let test_context_domains_conflict () =
+  Pool.with_pool ~domains:2 (fun pool ->
+      Alcotest.(check int) "matching count accepted" 2
+        (Request.context ~pool ~domains:2 ()).Request.domains;
+      match Request.context ~pool ~domains:3 () with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "a ~domains that conflicts with the pool must be refused")
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -217,4 +303,10 @@ let () =
             prop_exec_outcomes_equals_wrapper;
             prop_exec_store_transparent;
           ] );
+      ( "pool",
+        [
+          Alcotest.test_case "one pool across cells" `Quick test_pool_reused_across_cells;
+          Alcotest.test_case "pooled grid" `Quick test_pooled_grid;
+          Alcotest.test_case "domains conflict refused" `Quick test_context_domains_conflict;
+        ] );
     ]

@@ -10,6 +10,11 @@ module Pool = Mcm_util.Pool
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 (* -------------------------------------------------------------------- *)
 (* Unit tests                                                             *)
 
@@ -64,6 +69,25 @@ let test_pool_reuse_across_jobs () =
         let total = Pool.map_reduce p ~n:round ~map:Fun.id ~fold:( + ) ~init:0 in
         check_int "round total" (round * (round - 1) / 2) total
       done)
+
+let test_nested_submission_refused () =
+  (* A task that submits to its own pool gets Invalid_argument naming
+     the misuse; the outer job re-raises it in the caller, and the pool
+     still runs the next job correctly. *)
+  List.iter
+    (fun domains ->
+      Pool.with_pool ~domains (fun p ->
+          (match
+             Pool.map_array p ~n:16 ~f:(fun i ->
+                 if i = 5 then Array.length (Pool.map_array p ~n:4 ~f:Fun.id) else i)
+           with
+          | exception Invalid_argument msg ->
+              check (Printf.sprintf "%S names a nested submission" msg) true (contains msg "nested")
+          | _ -> Alcotest.fail "a nested submission must be refused");
+          let a = Pool.map_array p ~n:100 ~f:(fun i -> 3 * i) in
+          check (Printf.sprintf "next job at %d domains" domains) true
+            (a = Array.init 100 (fun i -> 3 * i))))
+    [ 1; 3 ]
 
 let test_domains_accessor () =
   Pool.with_pool ~domains:5 (fun p -> check_int "domains" 5 (Pool.domains p));
@@ -153,6 +177,7 @@ let () =
           Alcotest.test_case "exception survives" `Quick test_exception_reraised_and_pool_survives;
           Alcotest.test_case "lowest-index exception" `Quick test_lowest_index_exception_wins;
           Alcotest.test_case "pool reuse" `Quick test_pool_reuse_across_jobs;
+          Alcotest.test_case "nested submission refused" `Quick test_nested_submission_refused;
           Alcotest.test_case "domains accessor" `Quick test_domains_accessor;
           Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent_and_degrades;
           Alcotest.test_case "default chunk" `Quick test_default_chunk;

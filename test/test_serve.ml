@@ -15,6 +15,7 @@ module Store = Mcm_campaign.Store
 module Jsonw = Mcm_util.Jsonw
 module Params = Mcm_testenv.Params
 module Request = Mcm_testenv.Request
+module Runner = Mcm_testenv.Runner
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -315,6 +316,32 @@ let test_negative_iterations_rejected () =
   | Ok c -> check_int "zero iterations kept" 0 c.Proto.c_iterations
   | Error e -> Alcotest.failf "zero iterations refused: %s" e
 
+(* A grid sizes per-domain buffers, so the daemon refuses any above a
+   fixed ceiling, naming both layout fields; 2^31 x 2^31 overflows a
+   63-bit product, so the check must not multiply. *)
+let test_oversized_grid_rejected () =
+  let grid workgroups threads =
+    {
+      (mk_cell "MP-CO-m") with
+      Proto.c_env =
+        { test_env with Params.testing_workgroups = workgroups; threads_per_workgroup = threads };
+    }
+  in
+  let decode cell = Proto.cell_of_json (Proto.cell_to_json cell) in
+  check_int "the ceiling" (1 lsl 20) Proto.max_grid_threads;
+  List.iter
+    (fun (w, t) ->
+      match decode (grid w t) with
+      | Ok c -> check_int "layout kept" w c.Proto.c_env.Params.testing_workgroups
+      | Error e -> Alcotest.failf "%d x %d refused at the ceiling: %s" w t e)
+    [ (1024, 1024); (4096, 256); (1 lsl 20, 1); (1, 1 lsl 20) ];
+  List.iter
+    (fun (w, t) ->
+      let what = Printf.sprintf "%d x %d" w t in
+      expect_error what "\"testingWorkgroups\"" (decode (grid w t));
+      expect_error what "\"threadsPerWorkgroup\"" (decode (grid w t)))
+    [ ((1 lsl 20) + 1, 1); (17, 61681); (1025, 1024); (1 lsl 31, 1 lsl 31) ]
+
 let test_valid_envs_roundtrip () =
   let g = Mcm_util.Prng.create 5 in
   let randoms =
@@ -555,9 +582,9 @@ let test_drain_and_shutdown () =
       wait_daemon pid;
       check "socket removed on graceful exit" false (Sys.file_exists socket))
 
-(* One client's bad cells get error replies; the daemon keeps serving
-   that client and the next one. *)
-let test_bad_cells_answered () =
+(* One client's bad cells each get an error reply naming every one of
+   their [fields]; the daemon keeps serving that client and the next. *)
+let bad_cells_answered cases () =
   with_temp_dir (fun dir ->
       let pid, socket, _store = spawn_daemon ~dir () in
       Fun.protect
@@ -571,15 +598,15 @@ let test_bad_cells_answered () =
             | Error e -> Alcotest.failf "daemon gone after a bad cell: %s" e
           in
           List.iter
-            (fun (id, cell, field) ->
+            (fun (id, cell, fields) ->
               Client.send a (Proto.Submit { id; kind = "run"; priority = 0; cells = [ cell ] });
               let message = error_reply () in
-              check (Printf.sprintf "%s: %S names %s" id message field) true
-                (contains message field))
-            [
-              ("zero-threads", { (mk_cell "MP-CO-m") with Proto.c_env = bad_env }, "threadsPerWorkgroup");
-              ("negative-iterations", mk_cell ~iterations:(-1) "MP-CO-m", "iterations");
-            ];
+              List.iter
+                (fun field ->
+                  check (Printf.sprintf "%s: %S names %s" id message field) true
+                    (contains message field))
+                fields)
+            cases;
           (* The same connection still works... *)
           Client.send a Proto.Ping;
           let rec pong () =
@@ -597,6 +624,113 @@ let test_bad_cells_answered () =
           let _, _, _, res = collect b "good" 1 in
           check "good cell computed" true (not res.(0).Client.cached);
           Client.close b;
+          shutdown_daemon socket pid))
+
+let test_bad_cells_answered =
+  bad_cells_answered
+    [
+      ("zero-threads", { (mk_cell "MP-CO-m") with Proto.c_env = bad_env }, [ "threadsPerWorkgroup" ]);
+      ("negative-iterations", mk_cell ~iterations:(-1) "MP-CO-m", [ "iterations" ]);
+    ]
+
+let test_oversized_grid_answered =
+  let env = { test_env with Params.testing_workgroups = 1 lsl 31; threads_per_workgroup = 1 lsl 31 } in
+  bad_cells_answered
+    [
+      ( "oversized-grid",
+        { (mk_cell "MP-CO-m") with Proto.c_env = env },
+        [ "testingWorkgroups"; "threadsPerWorkgroup" ] );
+    ]
+
+(* The daemon's worker domains live while its queue is non-empty: none
+   at start-up, one worker (of [jobs = 2]) while cells are queued, none
+   once the queue drains, and a new pool for the next burst. The queue
+   listing reports the live workers. Every payload equals a direct
+   serial [Runner.exec] of its cell, and the daemon exits cleanly. *)
+let test_pool_across_bursts () =
+  (* Cells as (suite name, iterations, seed): iteration counts below,
+     at and above the daemon's two domains. *)
+  let burst_1 =
+    [ ("MP-CO-m", 6, 100); ("LB-CO-m", 6, 101); ("SB-CO-m", 2, 102); ("MP-CO-m", 1, 103);
+      ("S-CO-m", 8, 104) ]
+  and burst_2 = [ ("S-CO-m", 5, 200); ("MP-CO-m", 5, 201); ("LB-CO-m", 3, 202) ] in
+  let cell (name, iterations, seed) = mk_cell ~iterations ~seed name in
+  (* The cell as the daemon resolves it, run serially in this process. *)
+  let direct kind (name, iterations, seed) =
+    let r =
+      Request.make ~device:(Mcm_gpu.Device.make Mcm_gpu.Profile.nvidia) ~env:test_env
+        ~test:(Option.get (Mcm_core.Suite.find name)).Mcm_core.Suite.test ~iterations ~seed ()
+    in
+    let encode c = Jsonw.to_string (Runner.encode c (Runner.exec c r Request.serial)) in
+    if kind = "run" then encode Runner.Rate else encode Runner.Histogram
+  in
+  (* (queued cells, live workers) from a queue listing. *)
+  let listing data =
+    let module Jsonp = Mcm_util.Jsonp in
+    let count name =
+      match Jsonp.member name data with Some (Jsonw.List l) -> List.length l | _ -> -1
+    in
+    ( count "queued" + count "inflight",
+      Option.value ~default:(-1) (Option.bind (Jsonp.member "workers" data) Jsonp.to_int) )
+  in
+  with_temp_dir (fun dir ->
+      let pid, socket, _store = spawn_daemon ~jobs:2 ~dir () in
+      Fun.protect
+        ~finally:(fun () -> if Sys.file_exists socket then shutdown_daemon socket pid)
+        (fun () ->
+          let c = connect_ok ~name:"bursts" socket in
+          let queue () =
+            Client.send c Proto.Queue;
+            let rec reply () =
+              match Client.recv c with
+              | Ok (Proto.Reply { op = "queue"; data }) -> listing data
+              | Ok _ -> reply ()
+              | Error e -> Alcotest.failf "queue: %s" e
+            in
+            reply ()
+          in
+          let idle what = check (what ^ ": no cells, no workers") true (queue () = (0, 0)) in
+          (* Submit, list the queue once the Ack is in (mid-burst), and
+             collect every result. *)
+          let burst id kind cells =
+            Client.send c (Proto.Submit { id; kind; priority = 0; cells = List.map cell cells });
+            let results = Array.make (List.length cells) "" in
+            let rec loop ~done_ ~listed =
+              if not (done_ && listed) then
+                match Client.recv c with
+                | Error e -> Alcotest.failf "%s: %s" id e
+                | Ok (Proto.Ack { queued; _ }) ->
+                    check_int (id ^ ": all cold") (List.length cells) queued;
+                    Client.send c Proto.Queue;
+                    loop ~done_ ~listed
+                | Ok (Proto.Reply { op = "queue"; data }) ->
+                    let queued, workers = listing data in
+                    check_int
+                      (Printf.sprintf "%s: %d queued cell(s), workers" id queued)
+                      (if queued > 0 then 1 else 0)
+                      workers;
+                    loop ~done_ ~listed:true
+                | Ok (Proto.Result { id = rid; cell; payload; _ }) when rid = id ->
+                    results.(cell) <- Jsonw.to_string payload;
+                    loop ~done_ ~listed
+                | Ok (Proto.Done { id = did }) when did = id -> loop ~done_:true ~listed
+                | Ok (Proto.Error { message; _ }) -> Alcotest.failf "%s: %s" id message
+                | Ok _ -> loop ~done_ ~listed
+            in
+            loop ~done_:false ~listed:false;
+            List.iteri
+              (fun i spec ->
+                check_str
+                  (Printf.sprintf "%s cell %d equals a direct serial Runner.exec" id i)
+                  (direct kind spec) results.(i))
+              cells
+          in
+          idle "start-up";
+          burst "burst-1" "run" burst_1;
+          idle "after burst 1";
+          burst "burst-2" "histogram" burst_2;
+          idle "after burst 2";
+          Client.close c;
           shutdown_daemon socket pid))
 
 (* A client speaking the wrong protocol version is refused at hello. *)
@@ -639,6 +773,7 @@ let () =
           Alcotest.test_case "env layout below 1 rejected" `Quick test_env_layout_rejected;
           Alcotest.test_case "negative iterations rejected" `Quick
             test_negative_iterations_rejected;
+          Alcotest.test_case "oversized grid rejected" `Quick test_oversized_grid_rejected;
           Alcotest.test_case "valid envs round-trip" `Quick test_valid_envs_roundtrip;
         ] );
       ( "ro-store",
@@ -655,5 +790,9 @@ let () =
           Alcotest.test_case "protocol mismatch" `Quick test_protocol_mismatch;
           Alcotest.test_case "bad cells answered, daemon serves on" `Quick
             test_bad_cells_answered;
+          Alcotest.test_case "oversized grid answered, daemon serves on" `Quick
+            test_oversized_grid_answered;
+          Alcotest.test_case "pool released and recreated across bursts" `Quick
+            test_pool_across_bursts;
         ] );
     ]
