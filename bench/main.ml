@@ -28,7 +28,6 @@ module Request = Mcm_testenv.Request
 module Tuning = Mcm_harness.Tuning
 module Grid = Mcm_harness.Grid
 module Experiments = Mcm_harness.Experiments
-module Oracle_enum = Mcm_oracle.Enumerate
 module Oracle_propagate = Mcm_oracle.Propagate
 module Oracle_engine = Mcm_oracle.Engine
 module Oracle_certify = Mcm_oracle.Certify
@@ -514,16 +513,16 @@ let oracle_bench ~smoke () =
   let all_tests = Library.all @ suite_tests in
   let throughput_tests =
     let ranked =
-      List.sort (fun a b -> compare (Oracle_enum.count b) (Oracle_enum.count a)) all_tests
+      List.sort (fun a b -> compare (Enumerate.count b) (Enumerate.count a)) all_tests
     in
     List.filteri (fun i _ -> i < 3) ranked
   in
   let throughput =
     List.map
       (fun t ->
-        let total = Oracle_enum.count t in
+        let total = Enumerate.count t in
         let consistent, secs =
-          wall (fun () -> Oracle_enum.count_consistent t.Litmus.model t)
+          wall (fun () -> Enumerate.count_consistent t.Litmus.model t)
         in
         let rate = if secs > 0. then float_of_int total /. secs else 0. in
         Printf.printf "  %-18s %8d candidates  %7d consistent  %12.0f exec/s\n%!"
@@ -558,7 +557,7 @@ let oracle_bench ~smoke () =
     List.map
       (fun (stores, loads) ->
         let t = Library.ladder ~stores ~loads in
-        let space = Oracle_enum.count t in
+        let space = Enumerate.count t in
         let st = Oracle_propagate.stats t.Litmus.model t in
         let pc, prop_s =
           wall (fun () -> Oracle_engine.count_consistent Oracle_engine.Propagate t.Litmus.model t)
@@ -585,7 +584,7 @@ let oracle_bench ~smoke () =
      asserted away. *)
   let race_stores, race_loads = if smoke then (2, 1) else (2, 2) in
   let race_test = Library.ladder ~stores:race_stores ~loads:race_loads in
-  let race_space = Oracle_enum.count race_test in
+  let race_space = Enumerate.count race_test in
   let verdict, prop_race_s =
     wall (fun () -> Oracle_certify.mutant ~engine:Oracle_engine.Propagate race_test)
   in
@@ -595,7 +594,7 @@ let oracle_bench ~smoke () =
     let deadline = Unix.gettimeofday () +. budget_s in
     wall (fun () ->
         match
-          Oracle_enum.iter race_test ~f:(fun x ->
+          Enumerate.iter race_test ~f:(fun x ->
               incr visited;
               if !visited land 8191 = 0 && Unix.gettimeofday () > deadline then raise Exit;
               if

@@ -36,11 +36,9 @@ let derive ~name ~family ~model ~nlocs ~pattern ~polarity threads =
   match Litmus.well_formed probe with
   | Error e -> Error (Printf.sprintf "%s: ill-formed: %s" name e)
   | Ok () ->
-      let candidates = Enumerate.candidates probe in
       let all = ref [] and matching = ref [] in
       let consistent = ref [] and consistent_off_pattern = ref [] in
-      List.iter
-        (fun x ->
+      Enumerate.iter probe ~f:(fun x ->
           let outcome = Litmus.outcome_of_execution probe x in
           let matches = pattern x (Execution.relations x) in
           all := outcome :: !all;
@@ -48,8 +46,7 @@ let derive ~name ~family ~model ~nlocs ~pattern ~polarity threads =
           if Model.consistent model x then begin
             consistent := outcome :: !consistent;
             if not matches then consistent_off_pattern := outcome :: !consistent_off_pattern
-          end)
-        candidates;
+          end);
       let all = List.sort_uniq compare !all in
       let matching = List.sort_uniq compare !matching in
       let consistent = List.sort_uniq compare !consistent in

@@ -129,14 +129,11 @@ type frame = {
 }
 
 let frame ~engine probe =
-  let cands = Enumerate.candidates probe in
-  let all =
-    List.sort_uniq compare (List.map (Litmus.outcome_of_execution probe) cands)
-  in
+  let all = Enumerate.outcomes probe in
   let allowed = Outcome.elements (Outcome.allowed ~engine probe.Litmus.model probe) in
   let sc = Outcome.elements (Outcome.allowed ~engine Model.Sc probe) in
   let serial = List.sort_uniq compare (Classify.sequential_outcomes probe) in
-  { all; allowed; sc; serial; ncandidates = List.length cands }
+  { all; allowed; sc; serial; ncandidates = Enumerate.count probe }
 
 let probe ~model ~nlocs ~name threads =
   {

@@ -42,10 +42,21 @@ let sequential_outcomes test =
   let tids = List.init (Litmus.nthreads test) (fun i -> i) in
   List.sort_uniq compare (List.map (run_sequentially test) (permutations tids))
 
+let work test =
+  max (Enumerate.count test) (Mcm_util.Numbers.factorial_sat (Litmus.nthreads test))
+
 let classifier test =
   let sequential = sequential_outcomes test in
-  let sc = Enumerate.consistent_outcomes Model.Sc test in
-  let allowed = Enumerate.consistent_outcomes test.Litmus.model test in
+  (* One pass over the candidates: every outcome, and those consistent
+     under SC and under the test's own model. *)
+  let all, sc, allowed =
+    Enumerate.fold test ~init:([], [], []) ~f:(fun (all, sc, allowed) x ->
+        let o = Litmus.outcome_of_execution test x in
+        ( o :: all,
+          (if Model.consistent Model.Sc x then o :: sc else sc),
+          if Model.consistent test.Litmus.model x then o :: allowed else allowed ))
+  in
+  let sc = List.sort_uniq compare sc and allowed = List.sort_uniq compare allowed in
   let table = Hashtbl.create 32 in
   (* Later insertions must not override stronger classifications, so fill
      from weakest knowledge to strongest. *)
@@ -58,8 +69,7 @@ let classifier test =
         else Forbidden
       in
       Hashtbl.replace table o b)
-    (List.sort_uniq compare
-       (List.map (Litmus.outcome_of_execution test) (Enumerate.candidates test)));
+    (List.sort_uniq compare all);
   (* [find] rather than [find_opt]: a hit returns the stored constant
      without boxing it in an option, once per classified instance. *)
   fun outcome -> match Hashtbl.find table outcome with b -> b | exception Not_found -> Forbidden

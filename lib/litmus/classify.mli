@@ -20,10 +20,16 @@ val behaviour_name : behaviour -> string
 
 val classifier : Litmus.t -> Litmus.outcome -> behaviour
 (** [classifier t] precomputes the outcome partition for [t] (cost: one
-    candidate enumeration plus one run of every thread ordering) and
-    returns a constant-time classification function. Outcomes outside
-    the candidate space (impossible for well-formed runs) classify as
-    [Forbidden]. *)
+    pass over the candidates plus one run of every thread ordering, see
+    {!work}) and returns a constant-time classification function.
+    Outcomes outside the candidate space (impossible for well-formed
+    runs) classify as [Forbidden]. *)
+
+val work : Litmus.t -> int
+(** [work t] is the larger of [t]'s candidate count
+    ({!Enumerate.count}) and its number of thread orders
+    ([nthreads!]), saturating at [max_int]: both grow factorially, and
+    {!classifier} visits every one. *)
 
 val sequential_outcomes : Litmus.t -> Litmus.outcome list
 (** [sequential_outcomes t] is the set of outcomes produced by executing

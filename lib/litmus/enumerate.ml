@@ -1,112 +1,155 @@
 module Event = Mcm_memmodel.Event
 module Execution = Mcm_memmodel.Execution
 module Model = Mcm_memmodel.Model
+module Cat = Mcm_memmodel.Cat
+module Numbers = Mcm_util.Numbers
 
-(* All permutations of a list; locations have at most 4 writes so this
-   stays tiny. *)
-let rec permutations = function
-  | [] -> [ [] ]
-  | l ->
-      List.concat_map
-        (fun x ->
-          let rest = List.filter (fun y -> y <> x) l in
-          List.map (fun p -> x :: p) (permutations rest))
-        l
+(* Locations are kept as a sorted assoc list so the enumeration order is
+   deterministic. *)
+type space = {
+  events : Event.t array;
+  reads : int list;
+  writes_by_loc : (int * int list) list;
+}
 
-let candidates ?layout t =
+let space ?layout t =
   let compiled = Litmus.compile ?layout t in
   let events = compiled.Litmus.events in
-  let n = Array.length events in
-  let reads = ref [] in
-  let writes_by_loc = Hashtbl.create 4 in
+  let reads = ref [] and by_loc = Hashtbl.create 4 in
   Array.iter
     (fun e ->
       if Event.is_read e then reads := e.Event.id :: !reads;
       if Event.is_write e then
         match Event.loc e with
         | Some l ->
-            let cur = try Hashtbl.find writes_by_loc l with Not_found -> [] in
-            Hashtbl.replace writes_by_loc l (cur @ [ e.Event.id ])
+            let cur = try Hashtbl.find by_loc l with Not_found -> [] in
+            Hashtbl.replace by_loc l (cur @ [ e.Event.id ])
         | None -> ())
     events;
-  let reads = List.rev !reads in
-  (* rf choices per read: initial state or any same-location write other
-     than the read itself (an RMW cannot read its own write). *)
-  let rf_choices r =
-    let e = events.(r) in
-    match Event.loc e with
-    | None -> [ None ]
-    | Some l ->
-        let ws = try Hashtbl.find writes_by_loc l with Not_found -> [] in
-        None :: List.filter_map (fun w -> if w = r then None else Some (Some w)) ws
+  {
+    events;
+    reads = List.rev !reads;
+    writes_by_loc = List.sort compare (Hashtbl.fold (fun l ws acc -> (l, ws) :: acc) by_loc []);
+  }
+
+let rf_choices sp r =
+  match Event.loc sp.events.(r) with
+  | None -> [ None ]
+  | Some l ->
+      let ws = try List.assoc l sp.writes_by_loc with Not_found -> [] in
+      None :: List.filter_map (fun w -> if w = r then None else Some (Some w)) ws
+
+let fold ?layout t ~init ~f =
+  let sp = space ?layout t in
+  let n = Array.length sp.events in
+  let rf = Array.make n None in
+  let acc = ref init in
+  (* Depth-first over per-location coherence orders; at the leaves, emit
+     one candidate owning fresh rf/co structures. *)
+  let rec over_co locs co_acc =
+    match locs with
+    | [] ->
+        acc := f !acc { Execution.events = sp.events; rf = Array.copy rf; co = List.rev co_acc }
+    | (l, ws) :: rest ->
+        let rec perms chosen remaining =
+          if remaining = [] then over_co rest ((l, List.rev chosen) :: co_acc)
+          else
+            List.iter
+              (fun w -> perms (w :: chosen) (List.filter (fun w' -> w' <> w) remaining))
+              remaining
+        in
+        perms [] ws
   in
-  let rec assign_rf acc = function
-    | [] -> [ List.rev acc ]
-    | r :: rest -> List.concat_map (fun c -> assign_rf ((r, c) :: acc) rest) (rf_choices r)
+  let rec over_rf = function
+    | [] -> over_co sp.writes_by_loc []
+    | r :: rest ->
+        List.iter
+          (fun c ->
+            rf.(r) <- c;
+            over_rf rest)
+          (rf_choices sp r)
   in
-  let rf_assignments = assign_rf [] reads in
-  let co_orders =
-    let per_loc = Hashtbl.fold (fun l ws acc -> (l, permutations ws) :: acc) writes_by_loc [] in
-    let rec product = function
-      | [] -> [ [] ]
-      | (l, orders) :: rest ->
-          let tails = product rest in
-          List.concat_map (fun o -> List.map (fun tl -> (l, o) :: tl) tails) orders
-    in
-    product (List.sort compare per_loc)
+  over_rf sp.reads;
+  !acc
+
+let iter ?layout t ~f = fold ?layout t ~init:() ~f:(fun () x -> f x)
+
+let fold_consistent ?layout m t ~init ~f =
+  fold ?layout t ~init ~f:(fun acc x -> if Model.consistent m x then f acc x else acc)
+
+let count ?layout t =
+  let sp = space ?layout t in
+  let rf =
+    List.fold_left (fun acc r -> Numbers.mul_sat acc (List.length (rf_choices sp r))) 1 sp.reads
   in
-  List.concat_map
-    (fun rf_pairs ->
-      let rf = Array.make n None in
-      List.iter (fun (r, c) -> rf.(r) <- c) rf_pairs;
-      List.map (fun co -> { Execution.events; rf; co }) co_orders)
-    rf_assignments
+  List.fold_left
+    (fun acc (_, ws) -> Numbers.mul_sat acc (Numbers.factorial_sat (List.length ws)))
+    rf sp.writes_by_loc
 
-let consistent_outcomes ?layout m t =
-  let outs =
-    List.filter_map
-      (fun x -> if Model.consistent m x then Some (Litmus.outcome_of_execution t x) else None)
-      (candidates ?layout t)
-  in
-  List.sort_uniq compare outs
+let count_consistent ?layout m t = fold_consistent ?layout m t ~init:0 ~f:(fun k _ -> k + 1)
 
-let witness ?layout m t =
-  List.find_opt
-    (fun x -> Model.consistent m x && t.Litmus.target (Litmus.outcome_of_execution t x))
-    (candidates ?layout t)
-
-let target_allowed ?layout m t = witness ?layout m t <> None
-
-let target_allowed_cat cat t =
-  List.exists
-    (fun x ->
-      Mcm_memmodel.Cat.consistent cat x && t.Litmus.target (Litmus.outcome_of_execution t x))
-    (candidates t)
-
-let consistent_outcomes_cat cat t =
-  List.filter_map
-    (fun x ->
-      if Mcm_memmodel.Cat.consistent cat x then Some (Litmus.outcome_of_execution t x) else None)
-    (candidates t)
+let outcomes_where ?layout consistent t =
+  fold ?layout t ~init:[] ~f:(fun acc x ->
+      if consistent x then Litmus.outcome_of_execution t x :: acc else acc)
   |> List.sort_uniq compare
 
-let forbidden_cycle ?layout t =
-  if target_allowed ?layout t.Litmus.model t then None
-  else
-    let exhibiting =
-      List.filter
-        (fun x -> t.Litmus.target (Litmus.outcome_of_execution t x))
-        (candidates ?layout t)
-    in
-    (* Prefer a candidate whose only problem is the hb cycle (atomicity
-       holds), so the reported cycle is the interesting one. *)
-    let atomic = List.filter Model.rmw_atomic exhibiting in
-    let pool = if atomic <> [] then atomic else exhibiting in
-    List.fold_left
-      (fun acc x -> match acc with Some _ -> acc | None -> Model.hb_cycle t.Litmus.model x)
-      None pool
+let outcomes ?layout t = outcomes_where ?layout (fun _ -> true) t
+let consistent_outcomes ?layout m t = outcomes_where ?layout (Model.consistent m) t
+let consistent_outcomes_cat cat t = outcomes_where (Cat.consistent cat) t
+
+exception Found of Execution.t
+
+(* The first candidate in fold order that is consistent and exhibits the
+   target. *)
+let first_exhibiting ?layout consistent t =
+  match
+    iter ?layout t ~f:(fun x ->
+        if consistent x && t.Litmus.target (Litmus.outcome_of_execution t x) then raise (Found x))
+  with
+  | () -> None
+  | exception Found x -> Some x
+
+let witness ?layout m t = first_exhibiting ?layout (Model.consistent m) t
+let target_allowed ?layout m t = witness ?layout m t <> None
+let target_allowed_cat cat t = first_exhibiting (Cat.consistent cat) t <> None
 
 let count_candidates ?layout t =
-  let all = candidates ?layout t in
-  let consistent = List.filter (Model.consistent t.Litmus.model) all in
-  (List.length all, List.length consistent)
+  (count ?layout t, count_consistent ?layout t.Litmus.model t)
+
+type evidence = Unexhibited | Cycle of string | Atomicity of string | Unexplained
+
+let explain ?layout ?(last = false) m t p =
+  let exhibited = ref false and placed_seen = ref false in
+  (* The chosen cycle among placed candidates, the chosen cycle among
+     misplaced ones (it counts only while no placed one has shown up),
+     and the chosen misplaced candidate, rendered once at the end. *)
+  let placed_cycle = ref None and misplaced_cycle = ref None and misplaced = ref None in
+  let wanted r = last || Option.is_none !r in
+  let note_cycle r x =
+    if wanted r then match Model.hb_cycle m x with Some _ as c -> r := c | None -> ()
+  in
+  iter ?layout t ~f:(fun x ->
+      if p (Litmus.outcome_of_execution t x) then begin
+        exhibited := true;
+        if Model.rmw_atomic x then begin
+          placed_seen := true;
+          note_cycle placed_cycle x
+        end
+        else begin
+          if wanted misplaced then misplaced := Some x;
+          if not !placed_seen then note_cycle misplaced_cycle x
+        end
+      end);
+  if not !exhibited then Unexhibited
+  else
+    match (if !placed_seen then !placed_cycle else !misplaced_cycle) with
+    | Some c -> Cycle c
+    | None -> (
+        match Option.bind !misplaced Model.atomicity_violation with
+        | Some v -> Atomicity v
+        | None -> Unexplained)
+
+let forbidden_cycle ?layout t =
+  let m = t.Litmus.model in
+  if target_allowed ?layout m t then None
+  else match explain ?layout m t t.Litmus.target with Cycle c -> Some c | _ -> None

@@ -330,11 +330,7 @@ let to_source test =
         instrs)
     test.Litmus.threads;
   (* Reconstruct the target as the disjunction of satisfying outcomes. *)
-  let outcomes =
-    List.sort_uniq compare
-      (List.map (Litmus.outcome_of_execution test) (Enumerate.candidates test))
-  in
-  let satisfying = List.filter test.Litmus.target outcomes in
+  let satisfying = List.filter test.Litmus.target (Enumerate.outcomes test) in
   let conjunction (o : Litmus.outcome) =
     let parts = ref [] in
     Array.iteri

@@ -32,74 +32,56 @@ let hb m x =
   in
   Relation.union base r.Execution.com
 
-let rmw_atomic (x : Execution.t) =
-  let ok = ref true in
-  Array.iteri
-    (fun i e ->
-      if Event.is_rmw e then
-        match Event.loc e with
-        | None -> ()
-        | Some l ->
-            let order = try List.assoc l x.Execution.co with Not_found -> [] in
-            let position =
-              let rec find k = function
-                | [] -> None
-                | w :: rest -> if w = i then Some k else find (k + 1) rest
-              in
-              find 0 order
-            in
-            let expected =
-              match x.Execution.rf.(i) with
-              | None -> Some 0
-              | Some src ->
-                  let rec find k = function
-                    | [] -> None
-                    | w :: rest -> if w = src then Some (k + 1) else find (k + 1) rest
-                  in
-                  find 0 order
-            in
-            if position = None || expected = None || position <> expected then ok := false)
-    x.Execution.events;
-  !ok
+(* The index of [w] in [order], or -1. *)
+let rec index_of w k = function
+  | [] -> -1
+  | w' :: rest -> if w' = w then k else index_of w (k + 1) rest
+
+(* Location [l]'s coherence order in [co]. *)
+let rec order_of l = function [] -> [] | (l', ws) :: rest -> if l' = l then ws else order_of l rest
+
+(* The one RMW-placement scan: the id of the first RMW not placed
+   immediately after the write it reads from (first, when it reads the
+   initial state) in its location's coherence order, or -1 when every
+   RMW is. It runs inside [consistent] for every candidate, so it
+   allocates nothing. *)
+let misplaced_rmw (x : Execution.t) =
+  let events = x.Execution.events in
+  let n = Array.length events in
+  let found = ref (-1) and i = ref 0 in
+  while !found < 0 && !i < n do
+    (match events.(!i).Event.kind with
+    | Event.Rmw { loc; _ } ->
+        let order = order_of loc x.Execution.co in
+        let position = index_of !i 0 order in
+        let expected =
+          match x.Execution.rf.(!i) with
+          | None -> 0
+          | Some src ->
+              let k = index_of src 0 order in
+              if k < 0 then -1 else k + 1
+        in
+        if position < 0 || expected < 0 || position <> expected then found := !i
+    | Event.Read _ | Event.Write _ | Event.Fence -> ());
+    incr i
+  done;
+  !found
+
+let rmw_atomic x = misplaced_rmw x < 0
 
 let atomicity_violation (x : Execution.t) =
-  let violation = ref None in
-  Array.iteri
-    (fun i e ->
-      if !violation = None && Event.is_rmw e then
-        match Event.loc e with
-        | None -> ()
-        | Some l ->
-            let order = try List.assoc l x.Execution.co with Not_found -> [] in
-            let index_of w =
-              let rec find k = function
-                | [] -> None
-                | w' :: rest -> if w' = w then Some k else find (k + 1) rest
-              in
-              find 0 order
-            in
-            let position = index_of i in
-            let expected =
-              match x.Execution.rf.(i) with
-              | None -> Some 0
-              | Some src -> Option.map (fun k -> k + 1) (index_of src)
-            in
-            if position = None || expected = None || position <> expected then begin
-              let name = Execution.event_name x in
-              let src =
-                match x.Execution.rf.(i) with
-                | None -> "the initial state"
-                | Some s -> name s
-              in
-              let co_str = String.concat " -> " ("init" :: List.map name order) in
-              violation :=
-                Some
-                  (Printf.sprintf
-                     "RMW %s reads from %s but is not placed immediately after it in co (%s)"
-                     (name i) src co_str)
-            end)
-    x.Execution.events;
-  !violation
+  match misplaced_rmw x with
+  | -1 -> None
+  | i ->
+      let name = Execution.event_name x in
+      let src = match x.Execution.rf.(i) with None -> "the initial state" | Some s -> name s in
+      let order =
+        match Event.loc x.Execution.events.(i) with Some l -> order_of l x.Execution.co | None -> []
+      in
+      let co_str = String.concat " -> " ("init" :: List.map name order) in
+      Some
+        (Printf.sprintf "RMW %s reads from %s but is not placed immediately after it in co (%s)"
+           (name i) src co_str)
 
 let consistent m x = rmw_atomic x && Relation.is_acyclic (hb m x)
 

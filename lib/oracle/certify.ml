@@ -2,6 +2,7 @@ module Model = Mcm_memmodel.Model
 module Litmus = Mcm_litmus.Litmus
 module Library = Mcm_litmus.Library
 module Classify = Mcm_litmus.Classify
+module Enumerate = Mcm_litmus.Enumerate
 module Suite = Mcm_core.Suite
 module Mutator = Mcm_core.Mutator
 module Pool = Mcm_util.Pool
@@ -19,25 +20,14 @@ type report = { verdicts : verdict list; failures : int }
 
 (* Evidence that a disallowed target is *meaningfully* disallowed: some
    candidate exhibits it (so the behaviour is expressible), and every
-   such candidate is inconsistent. Returns the forbidden cycle (or
-   atomicity violation) of an exhibiting candidate, preferring one whose
-   only defect is the cycle. *)
+   such candidate is inconsistent. *)
 let forbidden_evidence ?layout m t =
-  let exhibiting =
-    Enumerate.fold ?layout t ~init:[] ~f:(fun acc x ->
-        if t.Litmus.target (Litmus.outcome_of_execution t x) then x :: acc else acc)
-  in
-  match exhibiting with
-  | [] -> Error "vacuous: no candidate execution exhibits the target at all"
-  | xs -> (
-      let atomic = List.filter Model.rmw_atomic xs in
-      let pool = if atomic <> [] then atomic else xs in
-      match List.filter_map (Model.hb_cycle m) pool with
-      | cycle :: _ -> Ok (Printf.sprintf "forbidden hb cycle: %s" cycle)
-      | [] -> (
-          match List.filter_map Model.atomicity_violation xs with
-          | v :: _ -> Ok ("RMW atomicity violation: " ^ v)
-          | [] -> Error "exhibiting candidates are neither cyclic nor atomicity-violating"))
+  match Enumerate.explain ?layout ~last:true m t t.Litmus.target with
+  | Enumerate.Unexhibited -> Error "vacuous: no candidate execution exhibits the target at all"
+  | Enumerate.Cycle cycle -> Ok (Printf.sprintf "forbidden hb cycle: %s" cycle)
+  | Enumerate.Atomicity v -> Ok ("RMW atomicity violation: " ^ v)
+  | Enumerate.Unexplained ->
+      Error "exhibiting candidates are neither cyclic nor atomicity-violating"
 
 let conformance ?engine ?layout t =
   let m = t.Litmus.model in

@@ -5,11 +5,14 @@
     {e disallowed} under its MCS (observing it is a definite violation),
     and a mutant's target really is {e allowed} (a correct platform may
     produce it, so a good testing environment should). This module
-    re-proves both by independent exhaustive enumeration — it shares no
-    code path with the {!Mcm_core.Template} derivation that produced the
-    targets — and rejects {e vacuous} mutants whose target a purely
-    serial execution could exhibit (such a target would "die" without
-    any scheduling or weak-memory interaction, certifying nothing).
+    re-proves both by exhaustive search, as a decision separate from the
+    {!Mcm_core.Template} derivation that produced the targets (both
+    walk {!Mcm_litmus.Enumerate}'s tree through
+    {!Mcm_memmodel.Model.consistent} and the same outcome projection;
+    the test suites check those against independent references) — and
+    rejects {e vacuous} mutants whose target a purely serial execution
+    could exhibit (such a target would "die" without any scheduling or
+    weak-memory interaction, certifying nothing).
 
     Every certificate carries evidence: a consistent witness execution's
     outcome for "allowed", a forbidden happens-before cycle (or RMW
@@ -18,8 +21,9 @@
     The [?engine] selector ({!Engine.t}, default [Propagate]) picks the
     consistent-execution engine behind the witness searches; verdicts
     are engine-independent because the engines agree candidate-for-
-    candidate. The vacuity and forbidden-cycle evidence scans always run
-    on the brute-force enumeration — they need {e inconsistent}
+    candidate. The forbidden-cycle evidence
+    ({!Mcm_litmus.Enumerate.explain}, on the last exhibiting candidate)
+    always walks the unpruned tree — it needs {e inconsistent}
     candidates, which {!Propagate} prunes by design. *)
 
 type verdict = {

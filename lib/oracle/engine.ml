@@ -1,3 +1,5 @@
+module Enumerate = Mcm_litmus.Enumerate
+
 type t = Enumerate | Propagate
 
 let all = [ Enumerate; Propagate ]

@@ -1,10 +1,11 @@
 (** Oracle engine selection.
 
     The oracle has two interchangeable engines over the same candidate
-    space: {!Enumerate}, the brute-force reference that visits every
-    candidate and filters through [Model.consistent], and {!Propagate},
-    the constraint-propagation engine that prunes inconsistent subtrees
-    as choices are made. Both produce bit-identical consistent-execution
+    space: [Enumerate], the brute-force reference
+    ({!Mcm_litmus.Enumerate}) that visits every candidate and filters
+    through [Model.consistent], and {!Propagate}, the
+    constraint-propagation engine that prunes inconsistent subtrees as
+    choices are made. Both produce bit-identical consistent-execution
     streams (same executions, same order — see {!Propagate}), so engine
     choice is purely a cost decision; {!Outcome}, {!Certify} and
     {!Soundness} default to [Propagate] and keep [Enumerate] available

@@ -1,6 +1,7 @@
 module Model = Mcm_memmodel.Model
 module Execution = Mcm_memmodel.Execution
 module Litmus = Mcm_litmus.Litmus
+module Enumerate = Mcm_litmus.Enumerate
 module Pool = Mcm_util.Pool
 module Jsonw = Mcm_util.Jsonw
 
@@ -45,27 +46,17 @@ let target_allowed ?engine ?layout m t = witness ?engine ?layout m t <> None
 let counterexample ?engine ?layout m t o =
   if mem (allowed ?engine ?layout m t) o then None
   else
-    let producing =
-      Enumerate.fold ?layout t ~init:[] ~f:(fun acc x ->
-          if Litmus.outcome_of_execution t x = o then x :: acc else acc)
-    in
-    match producing with
-    | [] ->
-        Some
-          (Printf.sprintf "outcome %s is outside the candidate space: no rf/co assignment produces it"
-             (Litmus.outcome_to_string o))
-    | xs -> (
-        (* Prefer a candidate whose only defect is the hb cycle, so the
-           report shows the interesting violation. *)
-        let atomic = List.filter Model.rmw_atomic xs in
-        let pool = if atomic <> [] then atomic else xs in
-        match List.filter_map (Model.hb_cycle m) pool with
-        | cycle :: _ ->
-            Some (Printf.sprintf "forbidden %s happens-before cycle: %s" (Model.name m) cycle)
-        | [] -> (
-            match List.filter_map Model.atomicity_violation xs with
-            | v :: _ -> Some ("RMW atomicity violation: " ^ v)
-            | [] -> Some "inconsistent, but no cycle or atomicity violation found (oracle bug?)"))
+    Some
+      (match Enumerate.explain ?layout ~last:true m t (fun o' -> o' = o) with
+      | Enumerate.Unexhibited ->
+          Printf.sprintf
+            "outcome %s is outside the candidate space: no rf/co assignment produces it"
+            (Litmus.outcome_to_string o)
+      | Enumerate.Cycle cycle ->
+          Printf.sprintf "forbidden %s happens-before cycle: %s" (Model.name m) cycle
+      | Enumerate.Atomicity v -> "RMW atomicity violation: " ^ v
+      | Enumerate.Unexplained ->
+          "inconsistent, but no cycle or atomicity violation found (oracle bug?)")
 
 let outcome_to_json (o : Litmus.outcome) =
   Jsonw.Obj

@@ -79,10 +79,11 @@ val counterexample :
   Mcm_litmus.Litmus.outcome ->
   string option
 (** [counterexample m t o] explains why outcome [o] is {e not} allowed
-    under [m]: the happens-before cycle (via {!Mcm_memmodel.Model.hb_cycle})
-    or RMW-atomicity violation of a candidate producing [o] — preferring
-    a candidate whose only defect is the cycle — or a note that no
-    rf/co assignment produces [o] at all. [None] when [o] is allowed. *)
+    under [m]: the happens-before cycle or RMW-atomicity violation of a
+    candidate producing [o] ({!Mcm_litmus.Enumerate.explain} with
+    [~last:true]: it prefers a candidate whose only defect is the
+    cycle), or a note that no rf/co assignment produces [o] at all.
+    [None] when [o] is allowed. *)
 
 val outcome_to_json : Mcm_litmus.Litmus.outcome -> Mcm_util.Jsonw.t
 (** One outcome as [{"regs": [[...]], "final": [...]}]. *)

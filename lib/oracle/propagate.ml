@@ -3,6 +3,7 @@ module Execution = Mcm_memmodel.Execution
 module Relation = Mcm_memmodel.Relation
 module Model = Mcm_memmodel.Model
 module Litmus = Mcm_litmus.Litmus
+module Enumerate = Mcm_litmus.Enumerate
 module Scope = Mcm_memmodel.Scope
 module Closure = Relation.Closure
 

@@ -1,13 +1,14 @@
 (** The constraint-propagation oracle engine.
 
-    {!Enumerate} certifies by brute force: materialise every reads-from
-    assignment × coherence permutation, then filter through
+    {!Mcm_litmus.Enumerate} certifies by brute force: walk every
+    reads-from assignment × coherence permutation, then filter through
     {!Mcm_memmodel.Model.consistent}. Its cost is the full candidate
     product, which explodes with threads × instructions. This engine
     walks the {e same} decision tree — rf choices for the reads in id
-    order, then per-location coherence permutations, through the shared
-    {!Enumerate.space} — but interleaves generation with incremental
-    consistency checking: after every choice it propagates the
+    order, then per-location coherence permutations, built from
+    {!Mcm_litmus.Enumerate.space} and {!Mcm_litmus.Enumerate.rf_choices}
+    — but interleaves generation with incremental consistency
+    checking: after every choice it propagates the
     happens-before edges that choice makes definite (rf, the coherence
     chain, from-read edges whose source is settled, release/acquire
     [po;sw;po] edges) into a transitively closed reachability structure
@@ -20,8 +21,9 @@
     execution; and at a leaf the propagated edges span exactly the
     transitive closure of [Model.hb] while the placement checks enforce
     exactly [Model.rmw_atomic]. Hence the leaves reached are precisely
-    the consistent candidates, {e in the order} {!Enumerate.fold} visits
-    them — outcome sets, witness choices and fold orders are
+    the consistent candidates, {e in the order}
+    {!Mcm_litmus.Enumerate.fold} visits them — outcome sets, witness
+    choices and fold orders are
     bit-identical to the brute-force engine, which stays available as
     the differential reference. *)
 
@@ -39,9 +41,9 @@ val fold_consistent :
   f:('a -> Mcm_memmodel.Execution.t -> 'a) ->
   'a
 (** [fold_consistent m t] folds over exactly the candidates consistent
-    under [m], in {!Enumerate.fold}'s order. Each execution handed to
+    under [m], in {!Mcm_litmus.Enumerate.fold}'s order. Each execution handed to
     [f] owns its [rf]/[co] structures and may be retained. Agrees with
-    {!Enumerate.fold_consistent} execution-for-execution. *)
+    {!Mcm_litmus.Enumerate.fold_consistent} execution-for-execution. *)
 
 val iter_consistent :
   ?layout:Mcm_memmodel.Scope.layout ->
@@ -56,10 +58,12 @@ val iter_consistent :
 val count_consistent :
   ?layout:Mcm_memmodel.Scope.layout -> Mcm_memmodel.Model.t -> Mcm_litmus.Litmus.t -> int
 (** [count_consistent m t] counts the consistent candidates without
-    materialising them. Agrees with {!Enumerate.count_consistent}. *)
+    materialising them. Agrees with
+    {!Mcm_litmus.Enumerate.count_consistent}. *)
 
 val stats :
   ?layout:Mcm_memmodel.Scope.layout -> Mcm_memmodel.Model.t -> Mcm_litmus.Litmus.t -> stats
 (** [stats m t] runs the search and reports how much of the candidate
     space was actually visited — the pruning factor
-    [Enumerate.count t / explored] is the engine's asymptotic win. *)
+    [Mcm_litmus.Enumerate.count t / explored] is the engine's asymptotic
+    win. *)

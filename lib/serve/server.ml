@@ -6,6 +6,7 @@ module Suite = Mcm_core.Suite
 module Library = Mcm_litmus.Library
 module Litmus = Mcm_litmus.Litmus
 module Parse = Mcm_litmus.Parse
+module Classify = Mcm_litmus.Classify
 module Profile = Mcm_gpu.Profile
 module Device = Mcm_gpu.Device
 module Bug = Mcm_gpu.Bug
@@ -103,7 +104,21 @@ let env_label (env : Params.t) =
     (if env.Params.mem_stress_pct > 0 then Printf.sprintf "+stress%d" env.Params.mem_stress_pct
      else "")
 
-let resolve_cell (c : Proto.cell) =
+(* ~100x the largest repository test (600 candidates, 4 threads); at
+   most 8 threads (8! = 40 320). *)
+let max_histogram_work = 65_536
+
+let histogram_admissible test =
+  let work = Classify.work test in
+  if work <= max_histogram_work then Ok ()
+  else
+    Error
+      (Printf.sprintf
+         "\"litmus\" test %s: a histogram classifies %d candidate executions or thread orders, \
+          above the limit of %d"
+         test.Litmus.name work max_histogram_work)
+
+let resolve_cell ~kind (c : Proto.cell) =
   let ( let* ) = Result.bind in
   let* test =
     match c.Proto.c_test with
@@ -119,6 +134,7 @@ let resolve_cell (c : Proto.cell) =
         | Ok t -> Ok t
         | Error e -> Error (Printf.sprintf "litmus source: %s" e))
   in
+  let* () = if kind = "histogram" then histogram_admissible test else Ok () in
   let* profile =
     match Profile.find c.Proto.c_device with
     | Some p -> Ok p
@@ -261,7 +277,7 @@ let handle_submit st conn ~id ~kind ~priority cells =
     let resolved =
       List.mapi
         (fun i c ->
-          match resolve_cell c with
+          match resolve_cell ~kind c with
           | Ok rc -> Ok rc
           | Error e -> Error (Printf.sprintf "cell %d: %s" i e))
         cells

@@ -54,6 +54,20 @@ type summary = {
   sessions : int;  (** client connections accepted *)
 }
 
+val max_histogram_work : int
+(** [65_536]: the most candidate executions, and the most thread
+    orders, the test of a [histogram] cell may have. A histogram
+    classifies every one of each ({!Mcm_litmus.Classify.work}), both
+    factorial in the test's size, in the daemon's loop; the limit is
+    about 100× the largest repository test and admits at most 8
+    threads. Fixed, not configurable. [run] and [outcomes] cells never
+    enumerate and are not limited. *)
+
+val histogram_admissible : Mcm_litmus.Litmus.t -> (unit, string) result
+(** [Ok ()] when [Classify.work t <= max_histogram_work]; otherwise the
+    error the daemon answers the submission with, naming ["litmus"]
+    and the count. *)
+
 val run : ?on_ready:(unit -> unit) -> config -> summary
 (** Serve until [Shutdown]/SIGTERM/SIGINT. [on_ready] fires once the
     sockets are bound and listening (before the first accept). Raises

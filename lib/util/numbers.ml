@@ -33,3 +33,9 @@ let permute ~p ~n v =
 let is_permutation ~p ~n = n > 0 && coprime p n
 
 let ceil_div a b = (a + b - 1) / b
+
+let mul_sat a b = if a = 0 || b <= max_int / a then a * b else max_int
+
+let factorial_sat n =
+  let rec go acc i = if i <= 1 then acc else go (mul_sat acc i) (i - 1) in
+  go 1 n

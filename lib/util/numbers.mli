@@ -1,6 +1,7 @@
 (** Small number-theory helpers used by the parallel permutation strategy
     of Sec. 4.1 (thread↔test-instance assignment via [(v * p) mod n] with
-    [p] coprime to [n]). *)
+    [p] coprime to [n]), and saturating products for sizing search
+    spaces. *)
 
 val gcd : int -> int -> int
 (** [gcd a b] is the greatest common divisor of [abs a] and [abs b];
@@ -31,3 +32,11 @@ val is_permutation : p:int -> n:int -> bool
 
 val ceil_div : int -> int -> int
 (** [ceil_div a b] is [a / b] rounded up, for positive [b]. *)
+
+val mul_sat : int -> int -> int
+(** [mul_sat a b] is [a * b] for non-negative [a] and [b], or [max_int]
+    when the product would overflow. *)
+
+val factorial_sat : int -> int
+(** [factorial_sat n] is [n!] ([1] for [n <= 1]), saturating at
+    [max_int] like {!mul_sat}. *)

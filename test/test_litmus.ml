@@ -149,8 +149,7 @@ let test_model_strength_lattice () =
   let module Cat = Mcm_memmodel.Cat in
   List.iter
     (fun t ->
-      List.iter
-        (fun x ->
+      Enumerate.iter t ~f:(fun x ->
           let sc = Cat.consistent Cat.sc x in
           let tso = Cat.consistent Cat.tso x in
           let relacq = Cat.consistent Cat.relacq x in
@@ -158,24 +157,21 @@ let test_model_strength_lattice () =
           check (t.Litmus.name ^ ": SC implies TSO") true ((not sc) || tso);
           check (t.Litmus.name ^ ": TSO implies coherence") true ((not tso) || coherence);
           check (t.Litmus.name ^ ": SC implies rel-acq") true ((not sc) || relacq);
-          check (t.Litmus.name ^ ": rel-acq implies coherence") true ((not relacq) || coherence))
-        (Enumerate.candidates t))
+          check (t.Litmus.name ^ ": rel-acq implies coherence") true ((not relacq) || coherence)))
     Library.all
 
 let test_cat_agrees_with_direct_models_on_candidates () =
   let module Cat = Mcm_memmodel.Cat in
   List.iter
     (fun t ->
-      List.iter
-        (fun x ->
+      Enumerate.iter t ~f:(fun x ->
           List.iter
             (fun m ->
               check
                 (t.Litmus.name ^ ": " ^ Model.name m ^ " agrees")
                 true
                 (Model.consistent m x = Cat.consistent (Cat.of_model m) x))
-            Model.all)
-        (Enumerate.candidates t))
+            Model.all))
     Library.all
 
 let test_witness_is_consistent () =
@@ -288,10 +284,7 @@ let test_parse_mp () =
       check "same classification" true
         (Enumerate.target_allowed t.Litmus.model t
         = Enumerate.target_allowed reference.Litmus.model reference);
-      let outcomes =
-        List.sort_uniq compare
-          (List.map (Litmus.outcome_of_execution reference) (Enumerate.candidates reference))
-      in
+      let outcomes = Enumerate.outcomes reference in
       List.iter
         (fun o ->
           check "targets agree" true (t.Litmus.target o = reference.Litmus.target o))
@@ -367,10 +360,7 @@ let test_roundtrip_library () =
       | Ok t ->
           check (reference.Litmus.name ^ " same program") true
             (t.Litmus.threads = reference.Litmus.threads && t.Litmus.model = reference.Litmus.model);
-          let outcomes =
-            List.sort_uniq compare
-              (List.map (Litmus.outcome_of_execution reference) (Enumerate.candidates reference))
-          in
+          let outcomes = Enumerate.outcomes reference in
           List.iter
             (fun o ->
               check (reference.Litmus.name ^ " targets agree") true

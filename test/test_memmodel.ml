@@ -239,6 +239,36 @@ let test_rmw_atomicity () =
   in
   check "separated from source" false (Model.rmw_atomic separated)
 
+(* [rmw_atomic] and [atomicity_violation] share one placement scan:
+   they agree on every candidate of every library and suite test, and
+   the check allocates nothing when every RMW is placed. *)
+let test_rmw_scan_agrees () =
+  let tests =
+    Mcm_litmus.Library.all
+    @ List.map (fun (e : Mcm_core.Suite.entry) -> e.Mcm_core.Suite.test) (Mcm_core.Suite.all ())
+  in
+  let placed = ref [] in
+  List.iter
+    (fun t ->
+      Mcm_litmus.Enumerate.iter t ~f:(fun x ->
+          let atomic = Model.rmw_atomic x in
+          if atomic && Array.exists Event.is_rmw x.Execution.events then placed := x :: !placed;
+          check
+            (t.Mcm_litmus.Litmus.name ^ ": rmw_atomic x = (atomicity_violation x = None)")
+            atomic
+            (Model.atomicity_violation x = None)))
+    tests;
+  check "some candidate places every RMW" true (!placed <> []);
+  let x = List.hd !placed in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Sys.opaque_identity (Model.rmw_atomic x))
+  done;
+  let words = Gc.minor_words () -. before in
+  check
+    (Printf.sprintf "10000 placed scans allocate nothing (%.0f words)" words)
+    true (words < 1000.)
+
 let test_model_names_roundtrip () =
   List.iter
     (fun m -> check (Model.name m) true (Model.of_string (Model.name m) = Some m))
@@ -493,12 +523,11 @@ let prop_closure_roundtrip =
 let test_static_po_agrees_with_relations () =
   List.iter
     (fun t ->
+      let first acc x = if Option.is_none acc then Some x else acc in
       let x =
-        match
-          Mcm_litmus.Enumerate.candidates t
-        with
-        | x :: _ -> x
-        | [] -> Alcotest.failf "%s has no candidates" t.Mcm_litmus.Litmus.name
+        match Mcm_litmus.Enumerate.fold t ~init:None ~f:first with
+        | Some x -> x
+        | None -> Alcotest.failf "%s has no candidates" t.Mcm_litmus.Litmus.name
       in
       let r = Execution.relations x in
       let po, po_loc = Execution.static_po x.Execution.events in
@@ -546,6 +575,7 @@ let () =
           Alcotest.test_case "MP fence weak consistency" `Quick test_mp_fence_weak_consistency;
           Alcotest.test_case "hb cycle description" `Quick test_hb_cycle_description;
           Alcotest.test_case "RMW atomicity" `Quick test_rmw_atomicity;
+          Alcotest.test_case "RMW placement scan agrees" `Quick test_rmw_scan_agrees;
           Alcotest.test_case "model names" `Quick test_model_names_roundtrip;
           Alcotest.test_case "strength chain" `Quick test_model_strength_chain;
         ] );

@@ -2,13 +2,13 @@
 
    Five layers of assurance:
 
-   1. Engine cross-checks — the oracle's streaming enumerator must agree
-      candidate-for-candidate and outcome-for-outcome with the older
-      list-based enumerator in Mcm_litmus, and its analytic candidate
-      count with actual enumeration; and the constraint-propagation
-      engine must reproduce the brute-force engine's consistent stream
-      in order, execution for execution, over the whole corpus and the
-      benchmark ladder.
+   1. Engine cross-checks — the streaming enumerator
+      (Mcm_litmus.Enumerate) must produce exactly the candidate list of
+      the specification below, in order, and agree with it on every
+      query; its analytic candidate count must match actual enumeration;
+      and the constraint-propagation engine must reproduce the
+      brute-force engine's consistent stream in order, execution for
+      execution, over the whole corpus and the benchmark ladder.
    2. Golden allowed-outcome counts — for every shipped test (classic
       library + generated suite) and every model, the size of the
       allowed-outcome set is pinned, through BOTH engines. A model or
@@ -36,13 +36,15 @@ module Model = Mcm_memmodel.Model
 module Litmus = Mcm_litmus.Litmus
 module Instr = Mcm_litmus.Instr
 module Library = Mcm_litmus.Library
-module LEnum = Mcm_litmus.Enumerate
 module Suite = Mcm_core.Suite
 module Profile = Mcm_gpu.Profile
 module Device = Mcm_gpu.Device
 module Bug = Mcm_gpu.Bug
 module Params = Mcm_testenv.Params
-module Enumerate = Mcm_oracle.Enumerate
+module Enumerate = Mcm_litmus.Enumerate
+module Scope = Mcm_memmodel.Scope
+module Execution = Mcm_memmodel.Execution
+module Event = Mcm_memmodel.Event
 module Propagate = Mcm_oracle.Propagate
 module Engine = Mcm_oracle.Engine
 module Outcome = Mcm_oracle.Outcome
@@ -55,6 +57,129 @@ let check_int = Alcotest.(check int)
 let all_tests () =
   Library.all @ List.map (fun (e : Suite.entry) -> e.Suite.test) (Suite.all ())
 
+(* One shard of the scoped 2x5x2 corpus (device- and workgroup-scope
+   fences): ~50 generated tests whose shapes the library lacks. *)
+let shard_tests =
+  lazy
+    (match Mcm_corpus.Shape.of_spec ~fence:true ~wg_fence:true "2x5x2" with
+    | Error e -> invalid_arg e
+    | Ok shape ->
+        let meta =
+          { Mcm_corpus.Corpus.default_meta with Mcm_corpus.Corpus.shape; shard = Some (0, 48) }
+        in
+        List.map
+          (fun (e : Mcm_corpus.Admit.entry) -> e.Mcm_corpus.Admit.test)
+          (Mcm_corpus.Corpus.generate meta).Mcm_corpus.Corpus.entries)
+
+let layouts = [ Scope.Inter; Scope.Intra ]
+
+(* The closure-free identity of a candidate: its rf assignment and
+   coherence order. *)
+let exec_key (x : Execution.t) = (Array.to_list x.Execution.rf, x.Execution.co)
+
+(* -------------------------------------------------------------------- *)
+(* The specification: the candidate space built as a list straight from
+   its definition (Sec. 2.2) — every rf assignment, each crossed with
+   the product of every location's coherence permutations — and the
+   queries as list operations over it. Enumerate.fold must produce
+   exactly this list, in this order. *)
+
+module Spec = struct
+  let rec permutations = function
+    | [] -> [ [] ]
+    | l ->
+        List.concat_map
+          (fun x ->
+            let rest = List.filter (fun y -> y <> x) l in
+            List.map (fun p -> x :: p) (permutations rest))
+          l
+
+  let candidates ?layout t =
+    let events = (Litmus.compile ?layout t).Litmus.events in
+    let n = Array.length events in
+    let reads = ref [] in
+    let writes_by_loc = Hashtbl.create 4 in
+    Array.iter
+      (fun e ->
+        if Event.is_read e then reads := e.Event.id :: !reads;
+        if Event.is_write e then
+          match Event.loc e with
+          | Some l ->
+              let cur = try Hashtbl.find writes_by_loc l with Not_found -> [] in
+              Hashtbl.replace writes_by_loc l (cur @ [ e.Event.id ])
+          | None -> ())
+      events;
+    (* rf choices per read: initial state or any same-location write
+       other than the read itself (an RMW cannot read its own write). *)
+    let rf_choices r =
+      match Event.loc events.(r) with
+      | None -> [ None ]
+      | Some l ->
+          let ws = try Hashtbl.find writes_by_loc l with Not_found -> [] in
+          None :: List.filter_map (fun w -> if w = r then None else Some (Some w)) ws
+    in
+    let rec assign_rf acc = function
+      | [] -> [ List.rev acc ]
+      | r :: rest -> List.concat_map (fun c -> assign_rf ((r, c) :: acc) rest) (rf_choices r)
+    in
+    let co_orders =
+      let per_loc = Hashtbl.fold (fun l ws acc -> (l, permutations ws) :: acc) writes_by_loc [] in
+      let rec product = function
+        | [] -> [ [] ]
+        | (l, orders) :: rest ->
+            let tails = product rest in
+            List.concat_map (fun o -> List.map (fun tl -> (l, o) :: tl) tails) orders
+      in
+      product (List.sort compare per_loc)
+    in
+    List.concat_map
+      (fun rf_pairs ->
+        let rf = Array.make n None in
+        List.iter (fun (r, c) -> rf.(r) <- c) rf_pairs;
+        List.map (fun co -> { Execution.events; rf; co }) co_orders)
+      (assign_rf [] (List.rev !reads))
+
+  let outcome t x = Litmus.outcome_of_execution t x
+
+  let consistent_outcomes ?layout m t =
+    List.filter_map
+      (fun x -> if Model.consistent m x then Some (outcome t x) else None)
+      (candidates ?layout t)
+    |> List.sort_uniq compare
+
+  let witness ?layout m t =
+    List.find_opt
+      (fun x -> Model.consistent m x && t.Litmus.target (outcome t x))
+      (candidates ?layout t)
+
+  let target_allowed ?layout m t = witness ?layout m t <> None
+
+  (* Why no candidate producing an outcome satisfying [p] is consistent:
+     among the producing candidates (first-to-last, or last-to-first),
+     prefer those whose RMWs are placed and report the first hb cycle,
+     else the first atomicity violation. *)
+  let explain ?layout ~last m t p =
+    let producing = List.filter (fun x -> p (outcome t x)) (candidates ?layout t) in
+    let producing = if last then List.rev producing else producing in
+    if producing = [] then Enumerate.Unexhibited
+    else
+      let placed = List.filter Model.rmw_atomic producing in
+      let pool = if placed <> [] then placed else producing in
+      match List.filter_map (Model.hb_cycle m) pool with
+      | c :: _ -> Enumerate.Cycle c
+      | [] -> (
+          match List.filter_map Model.atomicity_violation producing with
+          | v :: _ -> Enumerate.Atomicity v
+          | [] -> Enumerate.Unexplained)
+
+  let forbidden_cycle ?layout t =
+    if target_allowed ?layout t.Litmus.model t then None
+    else
+      match explain ?layout ~last:false t.Litmus.model t t.Litmus.target with
+      | Enumerate.Cycle c -> Some c
+      | _ -> None
+end
+
 (* -------------------------------------------------------------------- *)
 (* 1. Engine cross-checks.                                               *)
 
@@ -65,33 +190,53 @@ let test_count_agrees_with_enumeration () =
       check_int (t.Litmus.name ^ ": analytic count = fold count") (Enumerate.count t) folded)
     (all_tests ())
 
+(* A test with [n] stores to one location, no reads: n! candidates. *)
+let stores_to_one_location n =
+  {
+    Litmus.name = Printf.sprintf "W%d" n;
+    family = "sizing";
+    model = Model.Sc_per_location;
+    threads = [| List.init n (fun i -> Instr.store ~loc:0 ~value:(i + 1) ()) |];
+    nlocs = 1;
+    target = (fun _ -> false);
+    target_desc = "none";
+  }
+
+let test_count_saturates () =
+  check_int "20 writes: 20!" 2_432_902_008_176_640_000
+    (Enumerate.count (stores_to_one_location 20));
+  check_int "21 writes: saturated" max_int (Enumerate.count (stores_to_one_location 21));
+  check_int "24 writes: saturated" max_int (Enumerate.count (stores_to_one_location 24))
+
+(* The fold yields the specification's candidate list itself — same
+   executions, same order — over the library, the suite and a corpus
+   shard, under both layouts. *)
 let test_fold_agrees_with_list_enumerator () =
   List.iter
-    (fun t ->
-      let old_cands = LEnum.candidates t in
-      check_int
-        (t.Litmus.name ^ ": same candidate-space size")
-        (List.length old_cands) (Enumerate.count t);
-      (* Same candidates as sets (orders differ): compare canonicalised
-         (rf, co) witnesses. *)
-      let key (x : Mcm_memmodel.Execution.t) = (Array.to_list x.rf, x.co) in
-      let new_keys =
-        Enumerate.fold t ~init:[] ~f:(fun acc x -> key x :: acc) |> List.sort compare
-      in
-      let old_keys = List.map key old_cands |> List.sort compare in
-      check (t.Litmus.name ^ ": same candidates") true (new_keys = old_keys))
-    Library.all
+    (fun layout ->
+      List.iter
+        (fun t ->
+          let what = Printf.sprintf "%s (%s)" t.Litmus.name (Scope.layout_name layout) in
+          let spec = Spec.candidates ~layout t in
+          check_int (what ^ ": same candidate-space size") (List.length spec)
+            (Enumerate.count ~layout t);
+          let folded = Enumerate.fold ~layout t ~init:[] ~f:(fun acc x -> x :: acc) |> List.rev in
+          check (what ^ ": same candidates in the same order") true
+            (List.map exec_key folded = List.map exec_key spec))
+        (all_tests () @ Lazy.force shard_tests))
+    layouts
 
 let test_allowed_agrees_with_list_enumerator () =
   List.iter
     (fun t ->
       List.iter
         (fun m ->
-          let ours = Outcome.elements (Outcome.allowed m t) in
-          let theirs = List.sort_uniq compare (LEnum.consistent_outcomes m t) in
+          let theirs = Spec.consistent_outcomes m t in
           check
             (Printf.sprintf "%s under %s: same allowed set" t.Litmus.name (Model.name m))
-            true (ours = theirs))
+            true
+            (Outcome.elements (Outcome.allowed m t) = theirs
+            && Enumerate.consistent_outcomes m t = theirs))
         Model.all)
     Library.all
 
@@ -100,11 +245,35 @@ let test_target_allowed_agrees () =
     (fun t ->
       List.iter
         (fun m ->
-          check
-            (Printf.sprintf "%s under %s: target_allowed agrees" t.Litmus.name (Model.name m))
-            (LEnum.target_allowed m t) (Outcome.target_allowed m t))
+          let what = Printf.sprintf "%s under %s" t.Litmus.name (Model.name m) in
+          check (what ^ ": target_allowed agrees") (Spec.target_allowed m t)
+            (Outcome.target_allowed m t);
+          check (what ^ ": same witness") true
+            (Option.map exec_key (Spec.witness m t)
+            = Option.map exec_key (Enumerate.witness m t)))
         Model.all)
     Library.all
+
+(* The one explainer picks the candidate each caller always picked:
+   forbidden_cycle the first, Certify and counterexample the last. *)
+let test_explain_agrees_with_spec () =
+  List.iter
+    (fun layout ->
+      List.iter
+        (fun t ->
+          let what = Printf.sprintf "%s (%s)" t.Litmus.name (Scope.layout_name layout) in
+          let m = t.Litmus.model and p = t.Litmus.target in
+          List.iter
+            (fun last ->
+              check
+                (Printf.sprintf "%s: explain ~last:%b" what last)
+                true
+                (Enumerate.explain ~layout ~last m t p = Spec.explain ~layout ~last m t p))
+            [ false; true ];
+          check (what ^ ": forbidden_cycle") true
+            (Enumerate.forbidden_cycle ~layout t = Spec.forbidden_cycle ~layout t))
+        (all_tests () @ Lazy.force shard_tests))
+    layouts
 
 (* -------------------------------------------------------------------- *)
 (* 1b. Engine differential: the constraint-propagation engine must agree
@@ -112,11 +281,6 @@ let test_target_allowed_agrees () =
       ordered stream of consistent executions — the contract that makes
       witnesses, fold orders and certification verdicts
       engine-independent. *)
-
-(* The closure-free identity of a candidate: its rf assignment and
-   coherence order. *)
-let exec_key (x : Mcm_memmodel.Execution.t) =
-  (Array.to_list x.Mcm_memmodel.Execution.rf, x.Mcm_memmodel.Execution.co)
 
 let stream engine m t =
   Engine.fold_consistent engine m t ~init:[] ~f:(fun acc x -> exec_key x :: acc) |> List.rev
@@ -350,7 +514,17 @@ let test_certify_rejects_disallowed_mutant () =
 let test_conformance_evidence_is_a_cycle () =
   let v = Certify.conformance Library.corr in
   check "ok" true v.Certify.ok;
-  check "cycle evidence" true (contains v.Certify.detail "hb cycle")
+  check "cycle evidence" true (contains v.Certify.detail "hb cycle");
+  (* Certification reports the last exhibiting candidate's cycle, which
+     differs here from the first one `mcmutants show` prints. *)
+  List.iter
+    (fun (name, detail) ->
+      let v = Certify.conformance (Option.get (Suite.find name)).Suite.test in
+      Alcotest.(check string) (name ^ " evidence") detail v.Certify.detail)
+    [
+      ("CoRR-rmw", "forbidden hb cycle: a -> b -> c -> a");
+      ("2+2W-CO", "forbidden hb cycle: a -> b -> a");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* 3b. Negative differential: weaken the model under a known-disallowed
@@ -661,10 +835,7 @@ let prop_allowed_sets_identical =
    candidate executions (index chosen by qcheck), so roughly half the
    targets are allowed and the rest exercise the no-witness path. *)
 let with_random_target (t, idx) =
-  let outcomes =
-    Enumerate.fold t ~init:[] ~f:(fun acc x -> Litmus.outcome_of_execution t x :: acc)
-    |> List.sort_uniq compare
-  in
+  let outcomes = Enumerate.outcomes t in
   match outcomes with
   | [] -> None
   | _ ->
@@ -707,11 +878,14 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "analytic count = fold count" `Quick test_count_agrees_with_enumeration;
+          Alcotest.test_case "count saturates at max_int" `Quick test_count_saturates;
           Alcotest.test_case "fold = list enumerator (candidates)" `Slow
             test_fold_agrees_with_list_enumerator;
           Alcotest.test_case "allowed = list enumerator (outcomes)" `Slow
             test_allowed_agrees_with_list_enumerator;
           Alcotest.test_case "target_allowed agrees" `Slow test_target_allowed_agrees;
+          Alcotest.test_case "explain = list spec (first and last)" `Slow
+            test_explain_agrees_with_spec;
         ] );
       ( "engine-differential",
         [

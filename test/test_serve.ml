@@ -342,6 +342,60 @@ let test_oversized_grid_rejected () =
       expect_error what "\"threadsPerWorkgroup\"" (decode (grid w t)))
     [ ((1 lsl 20) + 1, 1); (17, 61681); (1025, 1024); (1 lsl 31, 1 lsl 31) ]
 
+(* A histogram cell classifies every candidate execution and every
+   thread order of its test, both factorial in its size, so the daemon
+   refuses one above a fixed ceiling, naming "litmus" and the count. *)
+
+(* [threads] threads, each storing [stores] distinct values to x. *)
+let stores_source ~threads ~stores =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf
+    (Printf.sprintf "test W%dx%d\nmodel sc-per-loc\nlocations x\n" threads stores);
+  for t = 0 to threads - 1 do
+    Buffer.add_string buf (Printf.sprintf "thread P%d\n" t);
+    for i = 1 to stores do
+      Buffer.add_string buf (Printf.sprintf "  store x %d\n" ((t * stores) + i))
+    done
+  done;
+  Buffer.add_string buf "target x == 1\n";
+  Buffer.contents buf
+
+let parsed src =
+  match Mcm_litmus.Parse.parse src with Ok t -> t | Error e -> Alcotest.failf "parse: %s" e
+
+(* [n] threads, each storing once to its own location: one candidate,
+   n! thread orders. *)
+let one_store_per_thread n =
+  {
+    Mcm_litmus.Litmus.name = Printf.sprintf "T%d" n;
+    family = "sizing";
+    model = Mcm_memmodel.Model.Sc_per_location;
+    threads = Array.init n (fun t -> [ Mcm_litmus.Instr.store ~loc:t ~value:1 () ]);
+    nlocs = n;
+    target = (fun _ -> false);
+    target_desc = "none";
+  }
+
+let test_histogram_ceiling () =
+  check_int "the ceiling" 65_536 Server.max_histogram_work;
+  let accepted what t =
+    match Server.histogram_admissible t with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s refused: %s" what e
+  in
+  let refused what count t =
+    expect_error what "\"litmus\"" (Server.histogram_admissible t);
+    expect_error what count (Server.histogram_admissible t)
+  in
+  let two_plus_two_w = (Option.get (Mcm_core.Suite.find "2+2W-CO")).Mcm_core.Suite.test in
+  check_int "2+2W-CO candidates" 600 (Mcm_litmus.Enumerate.count two_plus_two_w);
+  accepted "2+2W-CO (600 candidates)" two_plus_two_w;
+  accepted "8 writes (40320 candidates)" (parsed (stores_source ~threads:1 ~stores:8));
+  accepted "8 threads (40320 orders)" (one_store_per_thread 8);
+  refused "9 writes" "362880" (parsed (stores_source ~threads:1 ~stores:9));
+  refused "21 writes" (string_of_int max_int) (parsed (stores_source ~threads:1 ~stores:21));
+  refused "9 threads" "362880" (one_store_per_thread 9)
+
 let test_valid_envs_roundtrip () =
   let g = Mcm_util.Prng.create 5 in
   let randoms =
@@ -642,6 +696,56 @@ let test_oversized_grid_answered =
         [ "testingWorkgroups"; "threadsPerWorkgroup" ] );
     ]
 
+(* An over-ceiling histogram cell gets an error reply; the daemon then
+   answers a ping, computes another client's histogram cell, and
+   computes the same source as a [run] cell, which never enumerates. *)
+let test_factorial_histogram_answered () =
+  with_temp_dir (fun dir ->
+      let pid, socket, _store = spawn_daemon ~dir () in
+      Fun.protect
+        ~finally:(fun () -> if Sys.file_exists socket then shutdown_daemon socket pid)
+        (fun () ->
+          let w9 =
+            {
+              (mk_cell ~iterations:4 "MP-CO-m") with
+              Proto.c_test = Proto.Source (stores_source ~threads:1 ~stores:9);
+            }
+          in
+          let a = connect_ok ~name:"factorial" socket in
+          Client.send a
+            (Proto.Submit { id = "w9"; kind = "histogram"; priority = 0; cells = [ w9 ] });
+          let rec error_reply () =
+            match Client.recv a with
+            | Ok (Proto.Error { message; _ }) -> message
+            | Ok (Proto.Result _) -> Alcotest.fail "over-ceiling histogram computed"
+            | Ok _ -> error_reply ()
+            | Error e -> Alcotest.failf "daemon gone after a factorial cell: %s" e
+          in
+          let message = error_reply () in
+          check (Printf.sprintf "%S names \"litmus\"" message) true (contains message "\"litmus\"");
+          check (Printf.sprintf "%S names the count" message) true (contains message "362880");
+          Client.send a Proto.Ping;
+          let rec pong () =
+            match Client.recv a with
+            | Ok Proto.Pong -> ()
+            | Ok _ -> pong ()
+            | Error e -> Alcotest.failf "no pong: %s" e
+          in
+          pong ();
+          Client.close a;
+          let b = connect_ok ~name:"good" socket in
+          Client.send b
+            (Proto.Submit
+               { id = "mp"; kind = "histogram"; priority = 0; cells = [ mk_cell "MP-CO-m" ] });
+          let _, _, _, res = collect b "mp" 1 in
+          check "histogram cell computed" true (not res.(0).Client.cached);
+          Client.send b
+            (Proto.Submit { id = "w9-run"; kind = "run"; priority = 0; cells = [ w9 ] });
+          let _, _, _, res = collect b "w9-run" 1 in
+          check "run cell computed" true (not res.(0).Client.cached);
+          Client.close b;
+          shutdown_daemon socket pid))
+
 (* The daemon's worker domains live while its queue is non-empty: none
    at start-up, one worker (of [jobs = 2]) while cells are queued, none
    once the queue drains, and a new pool for the next burst. The queue
@@ -774,6 +878,7 @@ let () =
           Alcotest.test_case "negative iterations rejected" `Quick
             test_negative_iterations_rejected;
           Alcotest.test_case "oversized grid rejected" `Quick test_oversized_grid_rejected;
+          Alcotest.test_case "factorial histogram refused" `Quick test_histogram_ceiling;
           Alcotest.test_case "valid envs round-trip" `Quick test_valid_envs_roundtrip;
         ] );
       ( "ro-store",
@@ -792,6 +897,8 @@ let () =
             test_bad_cells_answered;
           Alcotest.test_case "oversized grid answered, daemon serves on" `Quick
             test_oversized_grid_answered;
+          Alcotest.test_case "factorial histogram answered, daemon serves on" `Quick
+            test_factorial_histogram_answered;
           Alcotest.test_case "pool released and recreated across bursts" `Quick
             test_pool_across_bursts;
         ] );
