@@ -99,6 +99,14 @@ let outcome_equal o p =
   && Array.length o.regs = Array.length p.regs
   && rows_equal_from o.regs p.regs 0
 
+let rec rows_fit_from (a : int array array) (b : int array array) i =
+  i >= Array.length a || (Array.length a.(i) = Array.length b.(i) && rows_fit_from a b (i + 1))
+
+let same_shape o p =
+  Array.length o.final = Array.length p.final
+  && Array.length o.regs = Array.length p.regs
+  && rows_fit_from o.regs p.regs 0
+
 let rec outcome_mem o = function [] -> false | p :: rest -> outcome_equal o p || outcome_mem o rest
 
 let empty_outcome t = { regs = Array.map (fun n -> Array.make n 0) (nregs t); final = Array.make t.nlocs 0 }

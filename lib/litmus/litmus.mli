@@ -72,6 +72,11 @@ val outcome_mem : outcome -> outcome list -> bool
     allocation-free, for target predicates that run once per executed
     instance. *)
 
+val same_shape : outcome -> outcome -> bool
+(** [same_shape o p] is true when [o] and [p] have as many threads,
+    registers per thread and locations as each other, whatever their
+    values. *)
+
 val empty_outcome : t -> outcome
 (** [empty_outcome t] is an all-zero outcome with the right shape. *)
 

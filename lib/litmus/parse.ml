@@ -4,13 +4,28 @@ module Scope = Mcm_memmodel.Scope
 (* ------------------------------------------------------------------ *)
 (* Target condition expressions                                         *)
 
-type expr =
+(* Atoms name their thread and location: strings as parsed, indices
+   once [parse] has resolved them. *)
+type ('thread, 'loc) expr =
   | Const of bool
-  | Atom_reg of string * int * int  (* thread name, register, value *)
-  | Atom_final of string * int  (* location name, value *)
-  | Not of expr
-  | And of expr * expr
-  | Or of expr * expr
+  | Atom_reg of 'thread * int * int  (* thread, register, value *)
+  | Atom_final of 'loc * int  (* location, value *)
+  | Not of ('thread, 'loc) expr
+  | And of ('thread, 'loc) expr * ('thread, 'loc) expr
+  | Or of ('thread, 'loc) expr * ('thread, 'loc) expr
+
+(* Left to right, so a resolution error names the first bad atom. *)
+let rec map_atoms ~thread ~loc = function
+  | Const b -> Const b
+  | Not e -> Not (map_atoms ~thread ~loc e)
+  | And (a, b) ->
+      let a = map_atoms ~thread ~loc a in
+      And (a, map_atoms ~thread ~loc b)
+  | Or (a, b) ->
+      let a = map_atoms ~thread ~loc a in
+      Or (a, map_atoms ~thread ~loc b)
+  | Atom_reg (t, reg, value) -> Atom_reg (thread t, reg, value)
+  | Atom_final (l, value) -> Atom_final (loc l, value)
 
 exception Syntax of string
 
@@ -124,19 +139,18 @@ let parse_expr tokens =
   (match !stream with [] -> () | t :: _ -> fail "trailing %s in condition" t);
   e
 
-let rec eval_expr ~thread_index ~loc_index (o : Litmus.outcome) = function
+(* An atom whose register or location is out of the outcome's range is
+   false. *)
+let rec eval_expr (o : Litmus.outcome) = function
   | Const b -> b
-  | Not e -> not (eval_expr ~thread_index ~loc_index o e)
-  | And (a, b) -> eval_expr ~thread_index ~loc_index o a && eval_expr ~thread_index ~loc_index o b
-  | Or (a, b) -> eval_expr ~thread_index ~loc_index o a || eval_expr ~thread_index ~loc_index o b
-  | Atom_reg (thread, reg, value) ->
-      let tid = thread_index thread in
+  | Not e -> not (eval_expr o e)
+  | And (a, b) -> eval_expr o a && eval_expr o b
+  | Or (a, b) -> eval_expr o a || eval_expr o b
+  | Atom_reg (tid, reg, value) ->
       tid < Array.length o.Litmus.regs
       && reg < Array.length o.Litmus.regs.(tid)
       && o.Litmus.regs.(tid).(reg) = value
-  | Atom_final (loc, value) ->
-      let l = loc_index loc in
-      l < Array.length o.Litmus.final && o.Litmus.final.(l) = value
+  | Atom_final (l, value) -> l < Array.length o.Litmus.final && o.Litmus.final.(l) = value
 
 (* ------------------------------------------------------------------ *)
 (* Test parsing                                                         *)
@@ -256,17 +270,9 @@ let parse source =
       in
       find 0 locations
     in
-    (* Force resolution errors now, not at evaluation time. *)
-    let rec resolve = function
-      | Const _ -> ()
-      | Not e -> resolve e
-      | And (a, c) | Or (a, c) ->
-          resolve a;
-          resolve c
-      | Atom_reg (t, _, _) -> ignore (thread_index t)
-      | Atom_final (l, _) -> ignore (loc_index l)
-    in
-    resolve expr;
+    (* Resolve names once, here: unknown ones are parse errors, and the
+       target indexes the outcome directly. *)
+    let cond = map_atoms ~thread:thread_index ~loc:loc_index expr in
     let test =
       {
         Litmus.name;
@@ -274,11 +280,15 @@ let parse source =
         model = b.model;
         threads = Array.of_list (List.map snd threads);
         nlocs = List.length locations;
-        target = (fun o -> eval_expr ~thread_index ~loc_index o expr);
+        target = (fun _ -> false);
         target_desc = target_src;
       }
     in
-    match Litmus.well_formed test with Ok () -> Ok test | Error e -> Error e
+    (* The condition speaks of this test's outcomes; one of another
+       shape satisfies no target, as with [Litmus.outcome_mem]. *)
+    let shape = Litmus.empty_outcome test in
+    let target o = Litmus.same_shape o shape && eval_expr o cond in
+    match Litmus.well_formed test with Ok () -> Ok { test with target } | Error e -> Error e
   with Syntax msg -> Error msg
 
 let parse_file path =

@@ -31,7 +31,12 @@
     repository — a property the test suite checks. *)
 
 val parse : string -> (Litmus.t, string) result
-(** [parse source] parses one test. Errors carry a line number. *)
+(** [parse source] parses one test. Errors carry a line number, and a
+    thread or location the condition names but the program lacks is an
+    error. The target evaluates the condition over thread and location
+    indices resolved here; it is false on an outcome whose shape differs
+    from the test's ({!Litmus.same_shape}), and an atom naming a
+    register the thread never writes is false. *)
 
 val parse_file : string -> (Litmus.t, string) result
 

@@ -341,7 +341,9 @@ let campaign ~engine ~plan ~classify ~collect ~device ~env ~test ~seed =
      each instance's slice) and consume identical PRNG draws — the
      kernel's parent stream is the iteration PRNG captured after
      [Assignment.fill], and [run_next] splits a child per executed
-     instance exactly as the interpreter arm's [Prng.split] does. *)
+     instance exactly as the interpreter arm's [Prng.split] does. The
+     kernel arm asks the workspace's verdict table whether the target
+     held ([Kernel.target_holds]); the interpreter arm calls it. *)
   let kernel = pf.p_kernel in
   let acquire_ws =
     match plan with Request.Per_cell -> workspace_for | Request.Schema -> arena_workspace
@@ -371,12 +373,18 @@ let campaign ~engine ~plan ~classify ~collect ~device ~env ~test ~seed =
       if !hi -. !lo <= horizon then begin
         let outcome =
           match kernel_ws with
-          | Some (k, ws) -> Kernel.run_next k ws ~starts ~off
+          | Some (k, ws) ->
+              let outcome = Kernel.run_next k ws ~starts ~off in
+              if Kernel.target_holds ws then incr kills;
+              outcome
           | None ->
-              Instance.run ~layout:pf.p_layout ~prng:(Prng.split prng) ~weak ~bugs ~test
-                ~starts:(Array.sub starts off roles) ()
+              let outcome =
+                Instance.run ~layout:pf.p_layout ~prng:(Prng.split prng) ~weak ~bugs ~test
+                  ~starts:(Array.sub starts off roles) ()
+              in
+              if target outcome then incr kills;
+              outcome
         in
-        if target outcome then incr kills;
         if collect then
           (* The kernel returns its workspace's reused outcome record;
              snapshot it only when the campaign actually collects. *)
