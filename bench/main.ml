@@ -41,6 +41,12 @@ module Pearson = Mcm_stats.Pearson
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '-')
 
+(* One campaign cell through the pipeline, on one domain unless told. *)
+let run_cell ?engine ?domains collect ~device ~env ~test ~iterations ~seed =
+  Runner.exec collect
+    (Request.make ?engine ~device ~env ~test ~iterations ~seed ())
+    (Request.context ?domains ())
+
 (* ------------------------------------------------------------------ *)
 (* Part 1: the reproductions                                            *)
 
@@ -99,7 +105,7 @@ let print_reproductions () =
   List.iter
     (fun (label, p2) ->
       let env = { base_env with Params.permute_second = p2 } in
-      let r = Runner.run ~device ~env ~test:mutant ~iterations:10 ~seed:4242 () in
+      let r = run_cell Runner.Rate ~device ~env ~test:mutant ~iterations:10 ~seed:4242 in
       Table.add_row abl [ label; string_of_int r.Runner.kills; Table.rate_cell r.Runner.rate ])
     [ ("identity (v -> v)", 1); ("coprime permutation", 1031) ];
   Table.print abl;
@@ -298,7 +304,7 @@ let instance_bench ~smoke () =
     let mw0 = Gc.minor_words () in
     let out, secs =
       wall (fun () ->
-          Runner.run_with_histogram ~engine ~device ~env ~test ~iterations ~seed ())
+          run_cell ~engine Runner.Histogram ~device ~env ~test ~iterations ~seed)
     in
     let minor = Gc.minor_words () -. mw0 in
     (out, secs, minor)
@@ -942,16 +948,16 @@ let pipeline_bench ~smoke () =
     Array.mapi
       (fun i (device, env, test) ->
         let seed = cell_seed i in
-        let key = Runner.cell_key ~kind:"run" ~device ~env ~test ~iterations ~seed () in
+        let key = Request.key ~kind:"run" (Request.make ~device ~env ~test ~iterations ~seed ()) in
         let computed () =
           fst (Runner.run_campaign ~classify:None ~device ~env ~test ~iterations ~seed ())
         in
         match Store.find store key with
         | Some payload -> (
-            match Runner.result_of_json payload with Ok r -> r | Error _ -> computed ())
+            match Runner.decode Runner.Rate payload with Ok r -> r | Error _ -> computed ())
         | None ->
             let r = computed () in
-            Store.add store key (Runner.result_to_json r);
+            Store.add store key (Runner.encode Runner.Rate r);
             r)
       cells
   in
@@ -1413,17 +1419,10 @@ let serve_bench ~smoke () =
       axis makes whole campaign prefixes recur), the schema plan must be
       at least 2x faster than per-cell compilation. Asserted in
       non-smoke runs; smoke grids are too small to time.
-   3. The column API: one [Kernel.Schema] image over a conformance test,
-      all its mutants and a bug-injection variant — one compile and one
-      workspace for the whole column — replays every variant against
-      per-variant [Kernel.compile] with outcome and PRNG-state equality
-      checked draw for draw.
 
    Engine counters (images compiled, schema/prefab reuses, workspace
    reuses) are recorded for the schema run so the reuse the speedup
    claims actually happened is visible in the JSON. *)
-
-module Kernel = Mcm_gpu.Kernel
 
 let schemata_bench ~smoke () =
   section "Mutant schemata: per-cell compilation vs shared images";
@@ -1502,103 +1501,12 @@ let schemata_bench ~smoke () =
   Printf.printf "  per-cell plan           %8.4f s\n%!" per_cell_s;
   Printf.printf "  schema plan             %8.4f s   %5.2fx%s\n%!" schema_s speedup
     (if identical then "   (bit-identical)" else "   RESULTS DIVERGED");
-  (* The column API head to head: one schema image + one workspace for
-     conf :: mutants :: bug variant, against a fresh compile + workspace
-     per variant, outcomes and PRNG states compared draw for draw. *)
-  let profile = Profile.nvidia in
-  let conf_name = "MP-CO" in
-  let conf = (Option.get (Suite.find conf_name)).Suite.test in
-  let env = Params.scaled Params.pte_baseline 0.02 in
-  let variant_of device (test : Litmus.t) =
-    let roles = Litmus.nthreads test in
-    let weak =
-      Gpu_instance.effective_params device.Device.profile
-        ~amplification:(Runner.amplification device env ~roles)
-    in
-    (weak, Device.effect device, test)
-  in
-  let correct = Device.make profile in
-  let buggy =
-    match Bug.paper_bug profile with
-    | Some bug -> Device.make ~bugs:[ bug ] profile
-    | None -> correct
-  in
-  let variants =
-    Array.of_list
-      (variant_of correct conf
-       :: List.map
-            (fun (e : Suite.entry) -> variant_of correct e.Suite.test)
-            (Suite.mutants_of conf_name)
-      @ [ variant_of buggy conf ])
-  in
-  let runs_per_variant = if smoke then 50 else 2_000 in
-  let starts_of (test : Litmus.t) =
-    Array.init (Litmus.nthreads test) (fun r -> 2. *. float_of_int r)
-  in
-  let column_agrees = ref true in
-  let schema_col_s =
-    let (), t =
-      wall (fun () ->
-          let s = Kernel.Schema.compile ~variants () in
-          let ws = Kernel.Schema.workspace s in
-          Array.iteri
-            (fun v (_, _, test) ->
-              let g = Prng.create (Prng.mix seed v) in
-              let starts = starts_of test in
-              for _ = 1 to runs_per_variant do
-                ignore (Kernel.Schema.run s ws ~variant:v ~prng:g ~starts)
-              done)
-            variants)
-    in
-    t
-  in
-  let per_variant_col_s =
-    let (), t =
-      wall (fun () ->
-          Array.iteri
-            (fun v (weak, bugs, test) ->
-              let k = Kernel.compile ~weak ~bugs ~test () in
-              let kws = Kernel.workspace k in
-              let g = Prng.create (Prng.mix seed v) in
-              let starts = starts_of test in
-              for _ = 1 to runs_per_variant do
-                ignore (Kernel.run k kws ~prng:g ~starts)
-              done)
-            variants)
-    in
-    t
-  in
-  (* The equality replay (outside the timed regions): both paths from
-     one seed, outcome and PRNG state compared after every instance. *)
-  let s = Kernel.Schema.compile ~variants () in
-  let ws = Kernel.Schema.workspace s in
-  Array.iteri
-    (fun v (weak, bugs, test) ->
-      let k = Kernel.compile ~weak ~bugs ~test () in
-      let kws = Kernel.workspace k in
-      let gs = Prng.create (Prng.mix seed v) in
-      let gk = Prng.create (Prng.mix seed v) in
-      let starts = starts_of test in
-      for _ = 1 to runs_per_variant do
-        let os = Kernel.Schema.run s ws ~variant:v ~prng:gs ~starts in
-        let ok = Kernel.run k kws ~prng:gk ~starts in
-        if not (os = ok && Prng.state gs = Prng.state gk) then column_agrees := false
-      done)
-    variants;
-  let column_speedup = if schema_col_s > 0. then per_variant_col_s /. schema_col_s else 0. in
-  Printf.printf "  column of %d variants, %d runs each\n" (Array.length variants)
-    runs_per_variant;
-  Printf.printf "    per-variant compile   %8.4f s\n%!" per_variant_col_s;
-  Printf.printf "    one schema image      %8.4f s   %5.2fx%s\n%!" schema_col_s column_speedup
-    (if !column_agrees then "   (bit-identical, PRNG states equal)"
-     else "   RESULTS DIVERGED");
-  let all_identical = identical && !column_agrees in
   let json =
     Jsonw.Obj
       [
         ("benchmark", Jsonw.String "mutant-schemata");
         ("smoke", Jsonw.Bool smoke);
-        ("kernel_code_version", Jsonw.Int Kernel.code_version);
+        ("kernel_code_version", Jsonw.Int Mcm_gpu.Kernel.code_version);
         ("grid_points", Jsonw.Int n);
         ("columns", Jsonw.Int (n / col));
         ("envs", Jsonw.Int n_envs);
@@ -1608,7 +1516,7 @@ let schemata_bench ~smoke () =
         ("schema_s", Jsonw.Float schema_s);
         ("speedup", Jsonw.Float speedup);
         ("speedup_target", Jsonw.Float 2.);
-        ("identical_to_per_cell", Jsonw.Bool all_identical);
+        ("identical_to_per_cell", Jsonw.Bool identical);
         ( "engine",
           Jsonw.Obj
             [
@@ -1616,16 +1524,6 @@ let schemata_bench ~smoke () =
               ("schema_reuses", Jsonw.Int counters.Runner.schema_reuses);
               ("workspaces_built", Jsonw.Int counters.Runner.workspaces_built);
               ("workspace_reuses", Jsonw.Int counters.Runner.workspace_reuses);
-            ] );
-        ( "column",
-          Jsonw.Obj
-            [
-              ("variants", Jsonw.Int (Array.length variants));
-              ("runs_per_variant", Jsonw.Int runs_per_variant);
-              ("per_variant_s", Jsonw.Float per_variant_col_s);
-              ("schema_s", Jsonw.Float schema_col_s);
-              ("speedup", Jsonw.Float column_speedup);
-              ("agrees", Jsonw.Bool !column_agrees);
             ] );
       ]
   in
@@ -1639,7 +1537,7 @@ let schemata_bench ~smoke () =
   output_char oc '\n';
   close_out oc;
   Printf.printf "  wrote %s\n%!" path;
-  if not all_identical then begin
+  if not identical then begin
     prerr_endline "bench: schema plan diverged from per-cell compilation";
     exit 1
   end;
@@ -1868,7 +1766,8 @@ let scope_bench ~smoke () =
   let campaign engine =
     List.map
       (fun (device, env) ->
-        (Runner.run ~engine ~domains:2 ~device ~env ~test:detector ~iterations ~seed:20230325 ())
+        (run_cell ~engine ~domains:2 Runner.Rate ~device ~env ~test:detector ~iterations
+           ~seed:20230325)
           .Runner.kills)
       [ (bugged, env_inter); (bugged, env_intra); (clean, env_inter) ]
   in
@@ -1974,12 +1873,14 @@ let bench_tests () =
        environment on one device. *)
     Test.make ~name:"fig5/pte-campaign"
       (Staged.stage (fun () ->
-           ignore (Runner.run ~device:nvidia ~env:small_env ~test:mutant ~iterations:1 ~seed:3 ())));
+           ignore
+             (run_cell Runner.Rate ~device:nvidia ~env:small_env ~test:mutant ~iterations:1
+                ~seed:3)));
     Test.make ~name:"fig5/site-campaign"
       (Staged.stage (fun () ->
            ignore
-             (Runner.run ~device:nvidia ~env:Params.site_baseline ~test:mutant ~iterations:10
-                ~seed:3 ())));
+             (run_cell Runner.Rate ~device:nvidia ~env:Params.site_baseline ~test:mutant
+                ~iterations:10 ~seed:3)));
     (* Fig. 6's unit of work: one Algorithm-1 merge over a rate matrix. *)
     Test.make ~name:"fig6/merge-environments"
       (Staged.stage

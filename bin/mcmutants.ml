@@ -1076,7 +1076,7 @@ let submit_cmd =
                 | Proto.Name n -> n
                 | Proto.Source _ -> List.nth litmus_files (i - List.length tests)
               in
-              match (kind, Runner.result_of_json r.Client.payload) with
+              match (kind, Runner.decode Runner.Rate r.Client.payload) with
               | "run", Ok res ->
                   Printf.printf "%-24s %s  kills %d/%d  rate %s /s  key %s\n" label
                     (if r.Client.cached then "cached " else "computed")

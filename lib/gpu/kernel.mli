@@ -13,12 +13,13 @@
     same total-order tie-breaks in the coherence/visibility sorts, so
     its outcomes are bit-identical to the interpreter's. The interpreter
     remains the reference implementation; [test/test_kernel.ml] checks
-    the equivalence by differential property testing. {!Schema} and
-    {!compile_cached} share {e immutable} structural arrays between
-    kernels and reuse {e over-sized} scratch between variants; neither
-    sharing can influence a draw or an outcome (every scratch array is
-    written before it is read within a run's extents), so they inherit
-    the same contract, checked by [test/test_schema.ml]. *)
+    the equivalence by differential property testing. {!compile_cached}
+    shares the {e immutable} structural image between kernels of one
+    test, and {!adopt} hands one workspace from kernel to kernel of an
+    image; neither sharing can influence a draw or an outcome (every
+    scratch array is written before it is read within a run), so both
+    inherit the same contract, checked by [test/test_kernel.ml] and,
+    through the runner's schema plan, [test/test_schema.ml]. *)
 
 val code_version : int
 (** Version of the kernel's compiled form and execution semantics,
@@ -154,10 +155,6 @@ val code_space : t -> int option
     (the surviving value then depends on execution order, not on the
     digits), and {!target_holds} calls the target closure. *)
 
-type image = t
-(** Alias for referring to single-variant kernels from inside
-    {!Schema}'s signature. *)
-
 val images_built : unit -> int
 (** Process-wide count of structural images compiled from scratch (every
     {!compile} call, including {!compile_cached} misses). *)
@@ -165,77 +162,3 @@ val images_built : unit -> int
 val image_hits : unit -> int
 (** Process-wide count of {!compile_cached} calls answered by a cached
     image. *)
-
-(** Mutant schemata: a conformance test and all of its variants
-    (mutants, bug-injection points) compiled into {e one} shared
-    structure, each selected at run time by a variant index — one
-    compilation pass and one warm workspace per column instead of one
-    per cell.
-
-    The schema workspace pools the flat scratch arrays at the column's
-    maximum extents and keeps only the shape-exact pieces (per-location
-    coherence buffers, the outcome record) per variant, so switching
-    variant between runs costs nothing. Running variant [v] through a
-    schema consumes the same PRNG draws and produces bit-identical
-    outcomes to compiling variant [v] alone with {!compile} and running
-    it in its own workspace. *)
-module Schema : sig
-  type nonrec t
-  (** A compiled column of variants. Images are obtained through
-      {!compile_cached}, so schemas over overlapping variant sets share
-      structural arrays. *)
-
-  type workspace
-  (** Shared mutable scratch for the whole column. One per domain — not
-      thread-safe. *)
-
-  val compile :
-    ?layout:Mcm_memmodel.Scope.layout ->
-    variants:(Instance.weak_params * Bug.effect * Mcm_litmus.Litmus.t) array ->
-    unit ->
-    t
-  (** [compile ?layout ~variants ()] compiles every [(weak, bugs, test)]
-      variant of the column into one schema; [layout] applies to the
-      whole column.
-
-      @raise Invalid_argument if [variants] is empty. *)
-
-  val length : t -> int
-  (** Number of variants in the column. *)
-
-  val kernel : t -> int -> image
-  (** [kernel s v] is variant [v]'s kernel — the same value a
-      {!compile_cached} of that variant would return, usable with the
-      top-level [workspace]/[run] API.
-
-      @raise Invalid_argument if [v] is out of range. *)
-
-  val set_parent : workspace -> Mcm_util.Prng.t -> unit
-  (** As the top-level {!val:set_parent}: the parent stream is shared by
-      all variants, matching a runner that interleaves variants within
-      one iteration. *)
-
-  val workspace : t -> workspace
-  (** A fresh workspace sized for the column's maxima. *)
-
-  val run_next :
-    t -> workspace -> variant:int -> starts:float array -> off:int -> Mcm_litmus.Litmus.outcome
-  (** As the top-level {!val:run_next}, for the selected variant. *)
-
-  val run :
-    t ->
-    workspace ->
-    variant:int ->
-    prng:Mcm_util.Prng.t ->
-    starts:float array ->
-    Mcm_litmus.Litmus.outcome
-  (** As the top-level {!val:run}, for the selected variant: bit-identical
-      to running the variant's own {!compile}d kernel.
-
-      @raise Invalid_argument if [variant] is out of range, [starts]
-      doesn't match the variant's thread count, or [ws] belongs to a
-      different schema. *)
-
-  val snapshot : workspace -> variant:int -> Mcm_litmus.Litmus.outcome
-  (** A deep copy of the variant's current outcome. *)
-end

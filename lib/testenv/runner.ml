@@ -446,15 +446,10 @@ let run_campaign ?(engine = Kernel) ?(plan = Request.Schema) ?pool ?domains ?chu
   (result, tally)
 
 (* ------------------------------------------------------------------ *)
-(* Campaign-store integration: cell keys and result codecs.            *)
+(* Result codecs: the persisted payload of each collector.             *)
 
 module Jsonw = Mcm_util.Jsonw
 module Jsonp = Mcm_util.Jsonp
-
-let engine_name = Request.engine_name
-
-let cell_key ?(engine = Kernel) ~kind ~device ~env ~test ~iterations ~seed () =
-  Request.key ~kind (Request.make ~engine ~device ~env ~test ~iterations ~seed ())
 
 let ( let* ) = Result.bind
 
@@ -650,15 +645,3 @@ let exec : type a. a collect -> Request.t -> Request.ctx -> a =
           let v = compute c r ~ctx in
           Mcm_campaign.Store.add st key (encode c v);
           v)
-
-(* The pre-pipeline entry points, now one-line wrappers over [exec].
-   Deprecated: new code should build a [Request.t] and call [exec]. *)
-
-let wrap collect ?(engine = Kernel) ?domains ?store ~device ~env ~test ~iterations ~seed () =
-  exec collect
-    (Request.make ~engine ~device ~env ~test ~iterations ~seed ())
-    (Request.context ?domains ?store ())
-
-let run ?engine = wrap Rate ?engine
-let run_with_histogram ?engine = wrap Histogram ?engine
-let run_with_outcomes ?engine = wrap Outcomes ?engine

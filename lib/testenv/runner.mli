@@ -39,39 +39,6 @@ type result = {
   rate : float;  (** kills per simulated second — the mutant death rate *)
 }
 
-val run :
-  ?engine:engine ->
-  ?domains:int ->
-  ?store:Mcm_campaign.Store.t ->
-  device:Mcm_gpu.Device.t ->
-  env:Params.t ->
-  test:Mcm_litmus.Litmus.t ->
-  iterations:int ->
-  seed:int ->
-  unit ->
-  result
-(** [run ~device ~env ~test ~iterations ~seed ()] executes the campaign.
-    Fully deterministic in [seed] (and all other inputs).
-
-    {b Deprecated} — a one-line wrapper over
-    [exec Rate (Request.make …) (Request.context …)], kept for existing
-    callers; new code should use {!exec}.
-
-    [domains] shards the iteration axis across that many domains of a
-    {!Mcm_util.Pool} (default: serial). Each iteration derives its PRNG
-    independently via [Prng.mix seed it] and outcome tallies are summed
-    with associative integer addition, so the returned [result] is
-    {e bit-identical} for every [domains] value — parallelism is purely a
-    wall-clock optimisation and can never change what a campaign
-    observes.
-
-    [store] memoizes the campaign: its {!cell_key} is looked up first and
-    a freshly computed result is persisted. Campaigns are pure in their
-    arguments, so a cached result is bit-identical to recomputing it. The
-    store handle must belong to the calling domain (see
-    {!Mcm_campaign.Store}); the internal iteration pool never touches
-    it. *)
-
 val amplification : Mcm_gpu.Device.t -> Params.t -> roles:int -> float
 (** The weak-memory amplification the campaign will apply — exposed for
     reports and ablation benches. *)
@@ -155,8 +122,8 @@ val run_campaign :
     [exec] is {e the} way to run a campaign: a {!Request.t} names the
     cell, a {!Request.ctx} supplies execution resources, and a collector
     picks what the campaign returns — which also indexes the persisted
-    payload shape, so the three codec pairs collapse into one
-    collector-indexed codec ({!kind}/{!encode}/{!decode}). *)
+    payload shape, so one collector-indexed codec
+    ({!kind}/{!encode}/{!decode}) serves all three. *)
 
 (** What a campaign collects, indexing its return (and payload) type. *)
 type _ collect =
@@ -192,70 +159,6 @@ val encode : 'a collect -> 'a -> Mcm_util.Jsonw.t
 
 val decode : 'a collect -> Mcm_util.Jsonw.t -> ('a, string) Stdlib.result
 
-val run_with_outcomes :
-  ?engine:engine ->
-  ?domains:int ->
-  ?store:Mcm_campaign.Store.t ->
-  device:Mcm_gpu.Device.t ->
-  env:Params.t ->
-  test:Mcm_litmus.Litmus.t ->
-  iterations:int ->
-  seed:int ->
-  unit ->
-  result * Mcm_litmus.Litmus.outcome list
-(** {b Deprecated} wrapper over [exec Outcomes] — see {!run}.
-    Like {!run} (identical [result] for identical arguments), but also
-    returns the deduplicated, sorted list of every outcome observed by an
-    executed instance — the observation set the axiomatic oracle checks
-    against a model's allowed-outcome set. Skipped instances are not
-    collected: their roles never overlapped, so their outcomes are
-    sequential by construction (and sequential outcomes are checked
-    against the oracle separately). The set is bit-identical for every
-    [domains] value. *)
-
-val run_with_histogram :
-  ?engine:engine ->
-  ?domains:int ->
-  ?store:Mcm_campaign.Store.t ->
-  device:Mcm_gpu.Device.t ->
-  env:Params.t ->
-  test:Mcm_litmus.Litmus.t ->
-  iterations:int ->
-  seed:int ->
-  unit ->
-  result * histogram
-(** {b Deprecated} wrapper over [exec Histogram] — see {!run}.
-    Like {!run} (identical [result] for identical arguments), but also
-    classifies every executed instance's outcome. The same determinism
-    guarantee extends to the histogram: identical buckets for every
-    [domains] value. *)
-
-(** {2 Campaign-store integration}
-
-    Runner results are memoization entries of pure functions of their
-    cell key; the codecs below define the persisted payloads. Encoding
-    then decoding is the identity (floats round-trip exactly through
-    {!Mcm_util.Jsonw}'s [%.17g] printing), which the store's warm-path
-    bit-identity contract relies on. *)
-
-val engine_name : engine -> string
-(** ["interpreter"] or ["kernel"] — the engine component of cell keys. *)
-
-val cell_key :
-  ?engine:engine ->
-  kind:string ->
-  device:Mcm_gpu.Device.t ->
-  env:Params.t ->
-  test:Mcm_litmus.Litmus.t ->
-  iterations:int ->
-  seed:int ->
-  unit ->
-  Mcm_campaign.Key.t
-(** The content key of one campaign cell. [kind] distinguishes the
-    payload shapes: {!run} stores ["run"], {!run_with_histogram}
-    ["histogram"], {!run_with_outcomes} ["outcomes"]. [engine] defaults
-    to [Kernel], matching the run functions. *)
-
 (** {2 Engine counters}
 
     Process-wide compile/memoization totals, reported by sweep drivers
@@ -283,12 +186,3 @@ val engine_stats_sub : engine_stats -> engine_stats -> engine_stats
 
 val pp_engine_stats : Format.formatter -> engine_stats -> unit
 (** ["N kernel(s) compiled, N schema reuse(s), N workspace reuse(s)"]. *)
-
-val result_to_json : result -> Mcm_util.Jsonw.t
-val result_of_json : Mcm_util.Jsonw.t -> (result, string) Stdlib.result
-val histogram_cell_to_json : result * histogram -> Mcm_util.Jsonw.t
-val histogram_cell_of_json : Mcm_util.Jsonw.t -> (result * histogram, string) Stdlib.result
-val outcomes_cell_to_json : result * Mcm_litmus.Litmus.outcome list -> Mcm_util.Jsonw.t
-
-val outcomes_cell_of_json :
-  Mcm_util.Jsonw.t -> (result * Mcm_litmus.Litmus.outcome list, string) Stdlib.result

@@ -489,11 +489,11 @@ let test_kill_and_resume () =
 (* Runner codecs: what the store persists must decode to what was
    computed, through an actual write-then-parse cycle.                    *)
 
-let roundtrip to_json of_json v =
-  match Mcm_util.Jsonp.parse (Jsonw.to_string (to_json v)) with
+let roundtrip c v =
+  match Mcm_util.Jsonp.parse (Jsonw.to_string (Runner.encode c v)) with
   | Error e -> Alcotest.failf "reparse failed: %s" e
   | Ok json -> (
-      match of_json json with
+      match Runner.decode c json with
       | Ok v' -> v' = v
       | Error e -> Alcotest.failf "decode failed: %s" e)
 
@@ -501,14 +501,11 @@ let test_runner_codecs () =
   let device = Lazy.force nvidia in
   let test = Lazy.force mp_co_m in
   let env = Params.scaled Params.pte_baseline 0.01 in
-  let result = Runner.run ~device ~env ~test ~iterations:3 ~seed:42 () in
-  check "result round-trips" true (roundtrip Runner.result_to_json Runner.result_of_json result);
-  let hist = Runner.run_with_histogram ~device ~env ~test ~iterations:3 ~seed:42 () in
-  check "histogram cell round-trips" true
-    (roundtrip Runner.histogram_cell_to_json Runner.histogram_cell_of_json hist);
-  let outc = Runner.run_with_outcomes ~device ~env ~test ~iterations:3 ~seed:42 () in
-  check "outcomes cell round-trips" true
-    (roundtrip Runner.outcomes_cell_to_json Runner.outcomes_cell_of_json outc)
+  let r = Request.make ~device ~env ~test ~iterations:3 ~seed:42 () in
+  let exec c = Runner.exec c r Request.serial in
+  check "result round-trips" true (roundtrip Runner.Rate (exec Runner.Rate));
+  check "histogram cell round-trips" true (roundtrip Runner.Histogram (exec Runner.Histogram));
+  check "outcomes cell round-trips" true (roundtrip Runner.Outcomes (exec Runner.Outcomes))
 
 let test_runner_store_memoizes () =
   with_temp_dir (fun dir ->
@@ -516,14 +513,19 @@ let test_runner_store_memoizes () =
           let device = Lazy.force nvidia in
           let test = Lazy.force mp_co_m in
           let env = Params.scaled Params.pte_baseline 0.01 in
-          let r1 = Runner.run ~store ~device ~env ~test ~iterations:3 ~seed:42 () in
+          let run seed =
+            Runner.exec Runner.Rate
+              (Request.make ~device ~env ~test ~iterations:3 ~seed ())
+              (Request.context ~store ())
+          in
+          let r1 = run 42 in
           check "campaign cached" true (Store.count store > 0);
           let n = Store.count store in
-          let r2 = Runner.run ~store ~device ~env ~test ~iterations:3 ~seed:42 () in
+          let r2 = run 42 in
           check "cached result identical" true (r1 = r2);
           check_int "no new records on warm run" n (Store.count store);
           (* A different seed is a different cell. *)
-          ignore (Runner.run ~store ~device ~env ~test ~iterations:3 ~seed:43 ());
+          ignore (run 43);
           check "new cell stored" true (Store.count store > n)))
 
 let () =

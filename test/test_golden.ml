@@ -34,6 +34,7 @@ module Device = Mcm_gpu.Device
 module Bug = Mcm_gpu.Bug
 module Params = Mcm_testenv.Params
 module Runner = Mcm_testenv.Runner
+module Request = Mcm_testenv.Request
 
 let seed = 20230325
 let iterations = 3
@@ -57,7 +58,11 @@ let rows ~engine () : row list =
       let test = (Option.get (Suite.find name)).Suite.test in
       List.map
         (fun (label, device) ->
-          let r, h = Runner.run_with_histogram ~engine ~device ~env ~test ~iterations ~seed () in
+          let r, h =
+            Runner.exec Runner.Histogram
+              (Request.make ~engine ~device ~env ~test ~iterations ~seed ())
+              Request.serial
+          in
           ( name,
             label,
             r.Runner.kills,
@@ -130,7 +135,11 @@ let env_rows ~engine () : env_row list =
           let test = (Option.get (Suite.find name)).Suite.test in
           List.map
             (fun (label, device) ->
-              let r, h = Runner.run_with_histogram ~engine ~device ~env ~test ~iterations ~seed () in
+              let r, h =
+            Runner.exec Runner.Histogram
+              (Request.make ~engine ~device ~env ~test ~iterations ~seed ())
+              Request.serial
+          in
               ( env_label,
                 name,
                 label,

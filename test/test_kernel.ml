@@ -1,8 +1,10 @@
 (* Differential tests for the compiled instance kernel: Kernel.run must
    be bit-identical to Instance.run — same outcomes AND same PRNG draw
    consumption — across random programs, device profiles, environments
-   and seeds; and campaigns through the kernel engine must reproduce the
-   interpreter engine exactly at every domain count. *)
+   and seeds; compile_cached's shared images and adopted workspaces
+   must be indistinguishable from compile; and campaigns through the
+   kernel engine must reproduce the interpreter engine exactly at every
+   domain count. *)
 
 module Prng = Mcm_util.Prng
 module Litmus = Mcm_litmus.Litmus
@@ -159,6 +161,48 @@ let prop_run_next_matches_split =
       done;
       !ok)
 
+let prop_compile_cached_identical =
+  QCheck.Test.make ~count:150 ~name:"compile_cached bit-identical to compile, shares images"
+    (QCheck.pair arbitrary_program QCheck.small_int)
+    (fun (test, seed) ->
+      QCheck.assume (Litmus.well_formed test = Ok ());
+      let g = Prng.create seed in
+      let weak1, bugs1 = random_config g in
+      let weak2, bugs2 = random_config g in
+      let fresh = Kernel.compile ~weak:weak1 ~bugs:bugs1 ~test () in
+      let cached1 = Kernel.compile_cached ~weak:weak1 ~bugs:bugs1 ~test () in
+      (* A second cell differing only in scalars must rebind onto the
+         same image. *)
+      let cached2 = Kernel.compile_cached ~weak:weak2 ~bugs:bugs2 ~test () in
+      let shares = Kernel.image_id cached1 = Kernel.image_id cached2 in
+      let ws_fresh = Kernel.workspace fresh in
+      let ws_cached = Kernel.workspace cached1 in
+      let ok = ref shares in
+      for _ = 1 to 10 do
+        let starts = Array.init (Litmus.nthreads test) (fun _ -> Prng.float g 60.) in
+        let g_f = Prng.of_int64 (Prng.state g) in
+        let g_c = Prng.of_int64 (Prng.state g) in
+        ignore (Prng.next_int64 g);
+        let o_f = Kernel.run fresh ws_fresh ~prng:g_f ~starts in
+        let o_c = Kernel.run cached1 ws_cached ~prng:g_c ~starts in
+        if not (o_f = o_c && Prng.state g_f = Prng.state g_c) then ok := false
+      done;
+      (* adopt: a workspace sized for one kernel of the image fits the
+         other; running after adoption stays identical. *)
+      Kernel.adopt ws_cached cached2;
+      let k2 = Kernel.compile ~weak:weak2 ~bugs:bugs2 ~test () in
+      let ws2 = Kernel.workspace k2 in
+      for _ = 1 to 5 do
+        let starts = Array.init (Litmus.nthreads test) (fun _ -> Prng.float g 60.) in
+        let g_a = Prng.of_int64 (Prng.state g) in
+        let g_b = Prng.of_int64 (Prng.state g) in
+        ignore (Prng.next_int64 g);
+        let o_a = Kernel.run cached2 ws_cached ~prng:g_a ~starts in
+        let o_b = Kernel.run k2 ws2 ~prng:g_b ~starts in
+        if not (o_a = o_b && Prng.state g_a = Prng.state g_b) then ok := false
+      done;
+      !ok)
+
 let test_snapshot_is_deep_copy () =
   let test = Library.mp in
   let weak = Instance.effective_params Profile.nvidia ~amplification:1. in
@@ -180,6 +224,16 @@ let test_workspace_ownership_checked () =
     (Invalid_argument "Kernel.run: workspace belongs to another kernel") (fun () ->
       ignore (Kernel.run k1 ws2 ~prng:(Prng.create 1) ~starts:[| 0.; 0. |]))
 
+(* Two compiles of one test build two images, and a workspace sized
+   for one may not be handed to the other. *)
+let test_adopt_checks_image () =
+  let weak = Instance.effective_params Profile.amd ~amplification:0. in
+  let k1 = Kernel.compile ~weak ~bugs:Bug.none ~test:Library.mp () in
+  let k2 = Kernel.compile ~weak ~bugs:Bug.none ~test:Library.mp () in
+  Alcotest.check_raises "workspace from another image refused"
+    (Invalid_argument "Kernel.adopt: workspace compiled from another image") (fun () ->
+      Kernel.adopt (Kernel.workspace k1) k2)
+
 let test_starts_length_checked () =
   let weak = Instance.effective_params Profile.amd ~amplification:0. in
   let k = Kernel.compile ~weak ~bugs:Bug.none ~test:Library.mp () in
@@ -193,11 +247,9 @@ let test_starts_length_checked () =
 let campaign_result ~engine ~domains ~seed test =
   let device = Device.make ~bugs:[ Bug.Fence_weakened 0.3 ] Profile.nvidia in
   let env = Params.scaled Params.pte_baseline 0.05 in
-  let hist =
-    Runner.run_with_histogram ~engine ~domains ~seed ~iterations:25 ~env ~device ~test ()
-  in
-  let outs = Runner.run_with_outcomes ~engine ~domains ~seed ~iterations:25 ~env ~device ~test () in
-  (hist, outs)
+  let r = Request.make ~engine ~device ~env ~test ~iterations:25 ~seed () in
+  let ctx = Request.context ~domains () in
+  (Runner.exec Runner.Histogram r ctx, Runner.exec Runner.Outcomes r ctx)
 
 let prop_campaign_engines_agree =
   QCheck.Test.make ~count:10 ~name:"campaign identical across engines and domains"
@@ -352,11 +404,13 @@ let () =
     [
       ( "differential",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_kernel_bit_identical; prop_run_next_matches_split ] );
+          [ prop_kernel_bit_identical; prop_run_next_matches_split; prop_compile_cached_identical ]
+      );
       ( "workspace",
         [
           Alcotest.test_case "snapshot deep copy" `Quick test_snapshot_is_deep_copy;
           Alcotest.test_case "ownership checked" `Quick test_workspace_ownership_checked;
+          Alcotest.test_case "adopt checks the image" `Quick test_adopt_checks_image;
           Alcotest.test_case "starts checked" `Quick test_starts_length_checked;
         ] );
       ( "campaign",

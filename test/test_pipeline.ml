@@ -1,8 +1,8 @@
-(* Tests for the unified request -> plan -> execute pipeline (PR 5):
+(* Tests for the unified request -> plan -> execute pipeline:
    Request serialization, cell-key stability against pinned hex vectors
    (the warm-store compatibility contract), and [Runner.exec]'s
-   bit-identity with the pre-pipeline entry points under every
-   collector — serial, sharded, and through a store. *)
+   bit-identity with the raw engine and under every collector — serial,
+   sharded, on a borrowed pool, and through a store. *)
 
 module Prng = Mcm_util.Prng
 module Jsonw = Mcm_util.Jsonw
@@ -102,20 +102,6 @@ let prop_engine_names_roundtrip =
       let e = engine_of_bool kernel in
       Request.engine_of_name (Request.engine_name e) = Some e)
 
-let prop_key_matches_legacy_cell_key =
-  (* Request.key must coincide with the pre-pipeline Runner.cell_key for
-     every cell — the invariant that keeps existing stores warm. *)
-  QCheck.Test.make ~count:100 ~name:"Request.key == Runner.cell_key" point_arb
-    (fun (seed, iterations, _domains, kernel) ->
-      let engine = engine_of_bool kernel in
-      let r = random_request ~seed ~iterations ~engine in
-      List.for_all
-        (fun kind ->
-          Request.key ~kind r
-          = Runner.cell_key ~engine ~kind ~device:r.Request.device ~env:r.Request.env
-              ~test:r.Request.test ~iterations ~seed ())
-        [ "run"; "histogram"; "outcomes" ])
-
 (* -------------------------------------------------------------------- *)
 (* Key stability: pinned hex vectors.                                     *)
 
@@ -149,38 +135,16 @@ let test_pinned_key_vectors () =
     ]
 
 (* -------------------------------------------------------------------- *)
-(* exec vs the pre-pipeline entry points.                                 *)
+(* exec vs the raw engine and through a store.                            *)
 
-let prop_exec_rate_equals_run =
-  QCheck.Test.make ~count:25 ~name:"exec Rate == Runner.run (and raw run_campaign)" point_arb
+let prop_exec_rate_equals_engine =
+  QCheck.Test.make ~count:25 ~name:"exec Rate == raw run_campaign" point_arb
     (fun (seed, iterations, domains, kernel) ->
       let engine = engine_of_bool kernel in
       let r = random_request ~seed ~iterations ~engine in
       let { Request.device; env; test; _ } = r in
-      let via_exec = Runner.exec Runner.Rate r (Request.context ~domains ()) in
-      let via_wrapper = Runner.run ~engine ~domains ~device ~env ~test ~iterations ~seed () in
-      let via_engine =
-        fst (Runner.run_campaign ~engine ~classify:None ~device ~env ~test ~iterations ~seed ())
-      in
-      via_exec = via_wrapper && via_exec = via_engine)
-
-let prop_exec_histogram_equals_wrapper =
-  QCheck.Test.make ~count:25 ~name:"exec Histogram == run_with_histogram" point_arb
-    (fun (seed, iterations, domains, kernel) ->
-      let engine = engine_of_bool kernel in
-      let r = random_request ~seed ~iterations ~engine in
-      let { Request.device; env; test; _ } = r in
-      Runner.exec Runner.Histogram r (Request.context ~domains ())
-      = Runner.run_with_histogram ~engine ~domains ~device ~env ~test ~iterations ~seed ())
-
-let prop_exec_outcomes_equals_wrapper =
-  QCheck.Test.make ~count:25 ~name:"exec Outcomes == run_with_outcomes" point_arb
-    (fun (seed, iterations, domains, kernel) ->
-      let engine = engine_of_bool kernel in
-      let r = random_request ~seed ~iterations ~engine in
-      let { Request.device; env; test; _ } = r in
-      Runner.exec Runner.Outcomes r (Request.context ~domains ())
-      = Runner.run_with_outcomes ~engine ~domains ~device ~env ~test ~iterations ~seed ())
+      Runner.exec Runner.Rate r (Request.context ~domains ())
+      = fst (Runner.run_campaign ~engine ~classify:None ~device ~env ~test ~iterations ~seed ()))
 
 let prop_exec_store_transparent =
   (* Under every collector: a cold store run equals the uncached run,
@@ -292,17 +256,11 @@ let () =
     [
       ( "request",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_request_json_roundtrips; prop_engine_names_roundtrip;
-            prop_key_matches_legacy_cell_key ] );
+          [ prop_request_json_roundtrips; prop_engine_names_roundtrip ] );
       ("keys", [ Alcotest.test_case "pinned hex vectors" `Quick test_pinned_key_vectors ]);
       ( "exec",
         List.map QCheck_alcotest.to_alcotest
-          [
-            prop_exec_rate_equals_run;
-            prop_exec_histogram_equals_wrapper;
-            prop_exec_outcomes_equals_wrapper;
-            prop_exec_store_transparent;
-          ] );
+          [ prop_exec_rate_equals_engine; prop_exec_store_transparent ] );
       ( "pool",
         [
           Alcotest.test_case "one pool across cells" `Quick test_pool_reused_across_cells;

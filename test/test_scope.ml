@@ -7,8 +7,8 @@
      the threads land in distinct workgroups.
    - The Scope_dropped bug injection is caught by device-scope mutants
      run inter-workgroup and is invisible intra-workgroup.
-   - interpreter ≡ kernel ≡ schema over random SCOPED programs:
-     bit-identical outcomes and PRNG draw consumption.
+   - interpreter ≡ kernel over random SCOPED programs: bit-identical
+     outcomes and PRNG draw consumption.
    - Fsn (fence scope narrowing) mutates with stable positional labels
      and admits through the oracle gate under cross-check.
    - --shard slices of candidate enumeration are deterministic,
@@ -245,8 +245,8 @@ let random_config g =
   let layout = if Prng.int g 2 = 0 then Scope.Inter else Scope.Intra in
   (weak, bugs, layout)
 
-let prop_three_engines_bit_identical =
-  QCheck.Test.make ~count:300 ~name:"interpreter == kernel == schema on scoped programs"
+let prop_engines_bit_identical =
+  QCheck.Test.make ~count:300 ~name:"interpreter == kernel on scoped programs"
     (QCheck.pair arbitrary_scoped_program QCheck.small_int)
     (fun (test, seed) ->
       QCheck.assume (Litmus.well_formed test = Ok ());
@@ -254,14 +254,11 @@ let prop_three_engines_bit_identical =
       let weak, bugs, layout = random_config g in
       let kernel = Kernel.compile ~layout ~weak ~bugs ~test () in
       let ws = Kernel.workspace kernel in
-      let schema = Kernel.Schema.compile ~layout ~variants:[| (weak, bugs, test) |] () in
-      let sws = Kernel.Schema.workspace schema in
       let ok = ref true in
       for _ = 1 to 20 do
         let starts = Array.init (Litmus.nthreads test) (fun _ -> Prng.float g 60.) in
         let g_int = Prng.of_int64 (Prng.state g) in
         let g_ker = Prng.of_int64 (Prng.state g) in
-        let g_sch = Prng.of_int64 (Prng.state g) in
         ignore (Prng.next_int64 g);
         let o_int = Instance.run ~layout ~prng:g_int ~weak ~bugs ~test ~starts () in
         let o_ker = Kernel.run kernel ws ~prng:g_ker ~starts in
@@ -270,13 +267,7 @@ let prop_three_engines_bit_identical =
             (Scope.layout_name layout) (Litmus.to_string test);
           ok := false
         end;
-        let o_sch = Kernel.Schema.run schema sws ~variant:0 ~prng:g_sch ~starts in
-        if o_int <> o_sch then begin
-          Printf.eprintf "interp/schema mismatch (%s) on:\n%s\n%!"
-            (Scope.layout_name layout) (Litmus.to_string test);
-          ok := false
-        end;
-        if Prng.state g_int <> Prng.state g_ker || Prng.state g_int <> Prng.state g_sch then begin
+        if Prng.state g_int <> Prng.state g_ker then begin
           Printf.eprintf "draw-count mismatch on:\n%s\n%!" (Litmus.to_string test);
           ok := false
         end
@@ -443,7 +434,7 @@ let () =
       ( "bug",
         [ Alcotest.test_case "Scope_dropped visibility" `Slow test_scope_drop_visibility ] );
       ( "engines",
-        [ QCheck_alcotest.to_alcotest ~long:true prop_three_engines_bit_identical ] );
+        [ QCheck_alcotest.to_alcotest ~long:true prop_engines_bit_identical ] );
       ( "mutator",
         [
           Alcotest.test_case "fsn labels" `Quick test_fsn_labels;

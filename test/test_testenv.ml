@@ -13,6 +13,7 @@ module Device = Mcm_gpu.Device
 module Params = Mcm_testenv.Params
 module Assignment = Mcm_testenv.Assignment
 module Runner = Mcm_testenv.Runner
+module Request = Mcm_testenv.Request
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -236,16 +237,20 @@ let test_pairing_quality () =
 
 let pte_small = Params.scaled Params.pte_baseline 0.02
 
+(* One campaign through the pipeline, serial unless [domains] is given. *)
+let exec ?domains c ~device ~env ~test ~iterations ~seed =
+  Runner.exec c (Request.make ~device ~env ~test ~iterations ~seed ()) (Request.context ?domains ())
+
 let nvidia = Device.make Profile.nvidia
 
 let test_runner_deterministic () =
   let mutant = (Option.get (Suite.find "MP-CO-m")).Suite.test in
-  let run () = Runner.run ~device:nvidia ~env:pte_small ~test:mutant ~iterations:5 ~seed:77 () in
+  let run () = exec Runner.Rate ~device:nvidia ~env:pte_small ~test:mutant ~iterations:5 ~seed:77 in
   check "reproducible" true (run () = run ())
 
 let test_runner_counts () =
   let mutant = (Option.get (Suite.find "CoRR-m")).Suite.test in
-  let r = Runner.run ~device:nvidia ~env:pte_small ~test:mutant ~iterations:5 ~seed:1 () in
+  let r = exec Runner.Rate ~device:nvidia ~env:pte_small ~test:mutant ~iterations:5 ~seed:1 in
   check_int "iterations recorded" 5 r.Runner.iterations;
   check_int "instances = threads x iterations"
     (5 * Params.instances_per_iteration pte_small ~roles:2)
@@ -263,8 +268,8 @@ let test_conformance_never_killed_on_correct_devices () =
       List.iter
         (fun device ->
           let r =
-            Runner.run ~device ~env:pte_small ~test:entry.Suite.test ~iterations:3
-              ~seed:(Hashtbl.hash entry.Suite.test.Litmus.name) ()
+            exec Runner.Rate ~device ~env:pte_small ~test:entry.Suite.test ~iterations:3
+              ~seed:(Hashtbl.hash entry.Suite.test.Litmus.name)
           in
           if r.Runner.kills > 0 then
             Alcotest.failf "%s violated on %s" entry.Suite.test.Litmus.name (Device.name device))
@@ -280,8 +285,8 @@ let test_no_forbidden_outcomes_anywhere () =
       List.iter
         (fun (entry : Suite.entry) ->
           let _, h =
-            Runner.run_with_histogram ~device ~env:pte_small ~test:entry.Suite.test ~iterations:2
-              ~seed:(Hashtbl.hash (Device.name device, entry.Suite.test.Litmus.name)) ()
+            exec Runner.Histogram ~device ~env:pte_small ~test:entry.Suite.test ~iterations:2
+              ~seed:(Hashtbl.hash (Device.name device, entry.Suite.test.Litmus.name))
           in
           if h.Runner.forbidden > 0 then
             Alcotest.failf "%s produced %d forbidden outcomes on %s" entry.Suite.test.Litmus.name
@@ -294,8 +299,8 @@ let test_pte_kills_mutants () =
     List.filter
       (fun (entry : Suite.entry) ->
         let r =
-          Runner.run ~device:nvidia ~env:pte_small ~test:entry.Suite.test ~iterations:5
-            ~seed:(Hashtbl.hash entry.Suite.test.Litmus.name) ()
+          exec Runner.Rate ~device:nvidia ~env:pte_small ~test:entry.Suite.test ~iterations:5
+            ~seed:(Hashtbl.hash entry.Suite.test.Litmus.name)
         in
         r.Runner.kills > 0)
       (Suite.mutants ())
@@ -306,20 +311,24 @@ let test_pte_kills_mutants () =
 
 let test_site_weaker_than_pte () =
   let mutant = (Option.get (Suite.find "MP-CO-m")).Suite.test in
-  let site = Runner.run ~device:nvidia ~env:Params.site_baseline ~test:mutant ~iterations:50 ~seed:3 () in
-  let pte = Runner.run ~device:nvidia ~env:pte_small ~test:mutant ~iterations:5 ~seed:3 () in
+  let site =
+    exec Runner.Rate ~device:nvidia ~env:Params.site_baseline ~test:mutant ~iterations:50 ~seed:3
+  in
+  let pte = exec Runner.Rate ~device:nvidia ~env:pte_small ~test:mutant ~iterations:5 ~seed:3 in
   check "PTE rate dominates SITE baseline on NVIDIA" true (pte.Runner.rate > site.Runner.rate)
 
 let test_bugged_device_caught () =
   let corr = (Option.get (Suite.find "CoRR")).Suite.test in
   let buggy = Device.make ~bugs:[ Mcm_gpu.Bug.Corr_reorder 0.5 ] Profile.intel in
-  let r = Runner.run ~device:buggy ~env:pte_small ~test:corr ~iterations:5 ~seed:5 () in
+  let r = exec Runner.Rate ~device:buggy ~env:pte_small ~test:corr ~iterations:5 ~seed:5 in
   check "violations observed" true (r.Runner.kills > 0)
 
 let test_histogram_consistent_with_run () =
   let mutant = (Option.get (Suite.find "MP-CO-m")).Suite.test in
-  let run () = Runner.run ~device:nvidia ~env:pte_small ~test:mutant ~iterations:4 ~seed:55 () in
-  let r, h = Runner.run_with_histogram ~device:nvidia ~env:pte_small ~test:mutant ~iterations:4 ~seed:55 () in
+  let run () = exec Runner.Rate ~device:nvidia ~env:pte_small ~test:mutant ~iterations:4 ~seed:55 in
+  let r, h =
+    exec Runner.Histogram ~device:nvidia ~env:pte_small ~test:mutant ~iterations:4 ~seed:55
+  in
   check "same result as run" true (run () = r);
   check_int "buckets cover all instances" r.Runner.instances
     (h.Runner.sequential + h.Runner.interleaved + h.Runner.weak + h.Runner.forbidden
@@ -331,7 +340,7 @@ let test_histogram_consistent_with_run () =
 let test_histogram_forbidden_on_buggy_device () =
   let corr = (Option.get (Suite.find "CoRR")).Suite.test in
   let buggy = Device.make ~bugs:[ Mcm_gpu.Bug.Corr_reorder 0.5 ] Profile.intel in
-  let r, h = Runner.run_with_histogram ~device:buggy ~env:pte_small ~test:corr ~iterations:4 ~seed:56 () in
+  let r, h = exec Runner.Histogram ~device:buggy ~env:pte_small ~test:corr ~iterations:4 ~seed:56 in
   check "violations observed" true (r.Runner.kills > 0);
   check "violations classified forbidden" true (h.Runner.forbidden >= r.Runner.kills)
 
@@ -409,14 +418,14 @@ let test_intra_kills_interleaving_mutants () =
   let env = Params.scaled Params.pte_baseline 0.02 in
   let m1 = Device.make Profile.m1 in
   let intra =
-    Runner.run ~device:m1 ~env:(Params.with_scope env Params.Intra_workgroup) ~test:mutant
-      ~iterations:8 ~seed:31 ()
+    exec Runner.Rate ~device:m1 ~env:(Params.with_scope env Params.Intra_workgroup) ~test:mutant
+      ~iterations:8 ~seed:31
   in
   check "intra kills interleavings" true (intra.Runner.kills > 0);
   check "conformance still safe intra" true
-    ((Runner.run ~device:m1
+    ((exec Runner.Rate ~device:m1
         ~env:(Params.with_scope env Params.Intra_workgroup)
-        ~test:(Option.get (Suite.find "CoRR")).Suite.test ~iterations:5 ~seed:32 ())
+        ~test:(Option.get (Suite.find "CoRR")).Suite.test ~iterations:5 ~seed:32)
        .Runner.kills = 0)
 
 (* -------------------------------------------------------------------- *)
@@ -434,17 +443,14 @@ let test_parallel_equals_serial_fixed_matrix () =
       List.iter
         (fun device ->
           let seed = Prng.mix 20230325 (Hashtbl.hash name) in
-          let serial = Runner.run ~device ~env:pte_small ~test ~iterations:6 ~seed () in
-          let serial_h =
-            Runner.run_with_histogram ~device ~env:pte_small ~test ~iterations:6 ~seed ()
-          in
+          let serial = exec Runner.Rate ~device ~env:pte_small ~test ~iterations:6 ~seed in
+          let serial_h = exec Runner.Histogram ~device ~env:pte_small ~test ~iterations:6 ~seed in
           List.iter
             (fun k ->
-              if Runner.run ~domains:k ~device ~env:pte_small ~test ~iterations:6 ~seed ()
+              if exec Runner.Rate ~domains:k ~device ~env:pte_small ~test ~iterations:6 ~seed
                  <> serial
               then Alcotest.failf "%s: result diverged at %d domains" name k;
-              if Runner.run_with_histogram ~domains:k ~device ~env:pte_small ~test ~iterations:6
-                   ~seed ()
+              if exec Runner.Histogram ~domains:k ~device ~env:pte_small ~test ~iterations:6 ~seed
                  <> serial_h
               then Alcotest.failf "%s: histogram diverged at %d domains" name k)
             [ 1; 2; 4; 8 ])
@@ -453,15 +459,19 @@ let test_parallel_equals_serial_fixed_matrix () =
 
 let test_parallel_zero_iterations () =
   let test = (Option.get (Suite.find "CoRR-m")).Suite.test in
-  let serial = Runner.run ~device:nvidia ~env:pte_small ~test ~iterations:0 ~seed:1 () in
-  let parallel = Runner.run ~domains:4 ~device:nvidia ~env:pte_small ~test ~iterations:0 ~seed:1 () in
+  let serial = exec Runner.Rate ~device:nvidia ~env:pte_small ~test ~iterations:0 ~seed:1 in
+  let parallel =
+    exec Runner.Rate ~domains:4 ~device:nvidia ~env:pte_small ~test ~iterations:0 ~seed:1
+  in
   check "empty campaign identical" true (serial = parallel);
   check_int "no instances" 0 serial.Runner.instances
 
 let test_parallel_more_domains_than_iterations () =
   let test = (Option.get (Suite.find "MP-CO-m")).Suite.test in
-  let serial = Runner.run ~device:nvidia ~env:pte_small ~test ~iterations:2 ~seed:9 () in
-  let parallel = Runner.run ~domains:8 ~device:nvidia ~env:pte_small ~test ~iterations:2 ~seed:9 () in
+  let serial = exec Runner.Rate ~device:nvidia ~env:pte_small ~test ~iterations:2 ~seed:9 in
+  let parallel =
+    exec Runner.Rate ~domains:8 ~device:nvidia ~env:pte_small ~test ~iterations:2 ~seed:9
+  in
   check "starved workers are harmless" true (serial = parallel)
 
 (* -------------------------------------------------------------------- *)
@@ -471,23 +481,21 @@ let prop_rate_nonnegative =
   QCheck.Test.make ~count:25 ~name:"runner rates are non-negative" QCheck.small_int (fun seed ->
       let env = Params.scaled (Params.random (Prng.create seed) Params.Parallel) 0.02 in
       let mutant = (Option.get (Suite.find "MP-relacq-m3")).Suite.test in
-      let r = Runner.run ~device:nvidia ~env ~test:mutant ~iterations:2 ~seed () in
+      let r = exec Runner.Rate ~device:nvidia ~env ~test:mutant ~iterations:2 ~seed in
       r.Runner.rate >= 0. && r.Runner.kills <= r.Runner.instances)
 
 let prop_parallel_equals_serial =
   (* For arbitrary seeds, iteration counts and domains ∈ {1..8}, the
      sharded runner is indistinguishable from the serial oracle — kills,
      instance counts, rates and every histogram bucket. *)
-  QCheck.Test.make ~count:30 ~name:"Runner.run ?domains == serial oracle"
+  QCheck.Test.make ~count:30 ~name:"sharded exec == serial oracle"
     QCheck.(
       triple small_int (make (Gen.int_range 0 8)) (make (Gen.int_range 1 8)))
     (fun (seed, iterations, domains) ->
       let env = Params.scaled (Params.random (Prng.create seed) Params.Parallel) 0.01 in
       let test = (Option.get (Suite.find "MP-CO-m")).Suite.test in
-      let serial = Runner.run_with_histogram ~device:nvidia ~env ~test ~iterations ~seed () in
-      let parallel =
-        Runner.run_with_histogram ~domains ~device:nvidia ~env ~test ~iterations ~seed ()
-      in
+      let serial = exec Runner.Histogram ~device:nvidia ~env ~test ~iterations ~seed in
+      let parallel = exec Runner.Histogram ~domains ~device:nvidia ~env ~test ~iterations ~seed in
       serial = parallel)
 
 let prop_role_starts_deterministic =
