@@ -843,6 +843,7 @@ let store_bench ~smoke () =
       [
         ("benchmark", Jsonw.String "campaign-store");
         ("smoke", Jsonw.Bool smoke);
+        ("cores", Jsonw.Int (Pool.default_domains ()));
         ("grid_points", Jsonw.Int grid_points);
         ("baseline_s", Jsonw.Float baseline_s);
         ( "cold",
@@ -1057,6 +1058,7 @@ let pipeline_bench ~smoke () =
       [
         ("benchmark", Jsonw.String "unified-pipeline-dispatch");
         ("smoke", Jsonw.Bool smoke);
+        ("cores", Jsonw.Int (Pool.default_domains ()));
         ("grid_points", Jsonw.Int n);
         ("iterations", Jsonw.Int iterations);
         ("overhead_budget", Jsonw.Float 0.03);

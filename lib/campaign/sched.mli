@@ -62,7 +62,8 @@ val run :
 
     [family i], when given, is the schema-family id of cell [i] (cells
     of one family share a compiled kernel image and memoized campaign
-    prefix — see {!Mcm_testenv.Request.prefix_key}). Misses are
+    prefix — the fields {!Key.cell_fields} lists between the kind and
+    the iteration count). Misses are
     stable-sorted by family before sharding, so whole columns run
     consecutively on a warm domain. Grouping is purely a dispatch-order
     optimisation: results still land at their grid indices and [stats]

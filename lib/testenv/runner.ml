@@ -203,7 +203,8 @@ let arena_workspace k =
    equality on the test (its [target] is a closure) and structural
    equality on the device/env records (pure scalar data) — an exact,
    cheap refinement of the canonical prefix identity that
-   [Key.prefix_fields] serializes. *)
+   [Key.cell_fields] serializes between the kind and the iteration
+   count. *)
 type prefab = {
   p_test : Litmus.t;
   p_device : Device.t;

@@ -698,7 +698,8 @@ let test_oversized_grid_answered =
 
 (* An over-ceiling histogram cell gets an error reply; the daemon then
    answers a ping, computes another client's histogram cell, and
-   computes the same source as a [run] cell, which never enumerates. *)
+   computes the same source as a [run] cell, which never enumerates.
+   Submitted once more, that source is a warm hit under the same key. *)
 let test_factorial_histogram_answered () =
   with_temp_dir (fun dir ->
       let pid, socket, _store = spawn_daemon ~dir () in
@@ -743,6 +744,11 @@ let test_factorial_histogram_answered () =
             (Proto.Submit { id = "w9-run"; kind = "run"; priority = 0; cells = [ w9 ] });
           let _, _, _, res = collect b "w9-run" 1 in
           check "run cell computed" true (not res.(0).Client.cached);
+          Client.send b
+            (Proto.Submit { id = "w9-again"; kind = "run"; priority = 0; cells = [ w9 ] });
+          let _, _, _, again = collect b "w9-again" 1 in
+          check "resubmitted source is a warm hit" true again.(0).Client.cached;
+          Alcotest.(check string) "under the same key" res.(0).Client.key again.(0).Client.key;
           Client.close b;
           shutdown_daemon socket pid))
 
