@@ -40,10 +40,11 @@ let derive ~name ~family ~model ~nlocs ~pattern ~polarity threads =
       let consistent = ref [] and consistent_off_pattern = ref [] in
       Enumerate.iter probe ~f:(fun x ->
           let outcome = Litmus.outcome_of_execution probe x in
-          let matches = pattern x (Execution.relations x) in
+          let r = Execution.relations x in
+          let matches = pattern x r in
           all := outcome :: !all;
           if matches then matching := outcome :: !matching;
-          if Model.consistent model x then begin
+          if Model.consistent_with model x r then begin
             consistent := outcome :: !consistent;
             if not matches then consistent_off_pattern := outcome :: !consistent_off_pattern
           end);

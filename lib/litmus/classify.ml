@@ -1,4 +1,5 @@
 module Model = Mcm_memmodel.Model
+module Execution = Mcm_memmodel.Execution
 
 type behaviour = Sequential | Interleaved | Weak | Forbidden
 
@@ -45,18 +46,26 @@ let sequential_outcomes test =
 let work test =
   max (Enumerate.count test) (Mcm_util.Numbers.factorial_sat (Litmus.nthreads test))
 
-let classifier test =
-  let sequential = sequential_outcomes test in
-  (* One pass over the candidates: every outcome, and those consistent
-     under SC and under the test's own model. *)
+(* One pass over the candidates: every outcome, and those consistent
+   under SC and under the test's own model, both checked against one set
+   of relations per candidate. *)
+let outcome_sets test =
+  let m = test.Litmus.model in
   let all, sc, allowed =
     Enumerate.fold test ~init:([], [], []) ~f:(fun (all, sc, allowed) x ->
         let o = Litmus.outcome_of_execution test x in
-        ( o :: all,
-          (if Model.consistent Model.Sc x then o :: sc else sc),
-          if Model.consistent test.Litmus.model x then o :: allowed else allowed ))
+        if not (Model.rmw_atomic x) then (o :: all, sc, allowed)
+        else
+          let r = Execution.relations x in
+          let sc_ok = Model.consistent_with Model.Sc x r in
+          let ok = if m = Model.Sc then sc_ok else Model.consistent_with m x r in
+          (o :: all, (if sc_ok then o :: sc else sc), if ok then o :: allowed else allowed))
   in
-  let sc = List.sort_uniq compare sc and allowed = List.sort_uniq compare allowed in
+  (List.sort_uniq compare all, List.sort_uniq compare sc, List.sort_uniq compare allowed)
+
+let classifier test =
+  let sequential = sequential_outcomes test in
+  let all, sc, allowed = outcome_sets test in
   let table = Hashtbl.create 32 in
   (* Later insertions must not override stronger classifications, so fill
      from weakest knowledge to strongest. *)
@@ -69,7 +78,7 @@ let classifier test =
         else Forbidden
       in
       Hashtbl.replace table o b)
-    (List.sort_uniq compare all);
+    all;
   (* [find] rather than [find_opt]: a hit returns the stored constant
      without boxing it in an option, once per classified instance. *)
   fun outcome -> match Hashtbl.find table outcome with b -> b | exception Not_found -> Forbidden

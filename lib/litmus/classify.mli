@@ -25,6 +25,13 @@ val classifier : Litmus.t -> Litmus.outcome -> behaviour
     Outcomes outside the candidate space (impossible for well-formed
     runs) classify as [Forbidden]. *)
 
+val outcome_sets : Litmus.t -> Litmus.outcome list * Litmus.outcome list * Litmus.outcome list
+(** [outcome_sets t] is [(all, sc, allowed)], each sorted and
+    duplicate-free: the outcomes of every candidate of [t], of those
+    consistent under SC, and of those consistent under [t]'s own model —
+    found in one pass over the candidates, with one set of relations per
+    candidate serving both checks. {!classifier} partitions these. *)
+
 val work : Litmus.t -> int
 (** [work t] is the larger of [t]'s candidate count
     ({!Enumerate.count}) and its number of thread orders

@@ -75,98 +75,119 @@ type relations = {
 (* po and po_loc depend only on the event array, not on the rf/co
    choices — they are the fixed skeleton every candidate execution of a
    test shares, which is why the propagation engine can seed its
-   incremental closure with them before making any choice. *)
+   incremental closure with them before making any choice. Each relation
+   here and in [relations] is built in one fresh matrix. *)
 let static_po events =
   let n = Array.length events in
-  let po = ref (Relation.empty n) in
-  for a = 0 to n - 1 do
-    for b = 0 to n - 1 do
-      let ea = events.(a) and eb = events.(b) in
-      if ea.Event.tid = eb.Event.tid && ea.Event.idx < eb.Event.idx then po := Relation.add !po a b
-    done
-  done;
-  let po = !po in
+  let po =
+    Relation.build n (fun add ->
+        for a = 0 to n - 1 do
+          for b = 0 to n - 1 do
+            let ea = events.(a) and eb = events.(b) in
+            if ea.Event.tid = eb.Event.tid && ea.Event.idx < eb.Event.idx then add a b
+          done
+        done)
+  in
   let po_loc = Relation.restrict po (fun a b -> Event.same_loc events.(a) events.(b)) in
   (po, po_loc)
 
 let relations x =
   let n = Array.length x.events in
   let po, po_loc = static_po x.events in
-  let rf = ref (Relation.empty n) in
-  Array.iteri
-    (fun r src -> match src with Some w when Event.is_read x.events.(r) -> rf := Relation.add !rf w r | _ -> ())
-    x.rf;
-  let rf = !rf in
-  let co = ref (Relation.empty n) in
-  let add_chain order =
+  let rf_edges add =
+    Array.iteri
+      (fun r src -> match src with Some w when Event.is_read x.events.(r) -> add w r | _ -> ())
+      x.rf
+  in
+  let co_edges add =
     let rec pairs = function
       | [] -> ()
       | w :: rest ->
-          List.iter (fun w' -> co := Relation.add !co w w') rest;
+          List.iter (fun w' -> add w w') rest;
           pairs rest
     in
-    pairs order
+    List.iter (fun (_, order) -> pairs order) x.co
   in
-  List.iter (fun (_, order) -> add_chain order) x.co;
-  let co = !co in
   (* fr: read r (rf source s, possibly initial) -> any write w' to the same
      location with s co-before w'. Initial-state reads are fr-before every
      write to the location. An RMW is never fr-related to its own write. *)
-  let fr = ref (Relation.empty n) in
-  Array.iteri
-    (fun r e ->
-      if Event.is_read e then
-        match Event.loc e with
-        | None -> ()
-        | Some l ->
-            let order = try List.assoc l x.co with Not_found -> [] in
-            let later =
-              match x.rf.(r) with
-              | None -> order
-              | Some s ->
-                  let rec after = function
-                    | [] -> []
-                    | w :: rest -> if w = s then rest else after rest
-                  in
-                  after order
-            in
-            List.iter (fun w' -> if w' <> r then fr := Relation.add !fr r w') later)
-    x.events;
-  let fr = !fr in
-  let com = Relation.union rf (Relation.union co fr) in
+  let fr_edges add =
+    Array.iteri
+      (fun r e ->
+        if Event.is_read e then
+          match Event.loc e with
+          | None -> ()
+          | Some l ->
+              let order = try List.assoc l x.co with Not_found -> [] in
+              let later =
+                match x.rf.(r) with
+                | None -> order
+                | Some s ->
+                    let rec after = function
+                      | [] -> []
+                      | w :: rest -> if w = s then rest else after rest
+                    in
+                    after order
+              in
+              List.iter (fun w' -> if w' <> r then add r w') later)
+      x.events
+  in
   (* sw: release fence f_r -> acquire fence f_a, different threads, with a
      write w po-after f_r read by a read r po-before f_a. Scoped: the
      edge only forms when each fence's scope covers the partner's
      workgroup (all-Device reduces to the unscoped definition). *)
-  let sw = ref (Relation.empty n) in
-  for f_r = 0 to n - 1 do
-    if Event.is_fence x.events.(f_r) then
-      for f_a = 0 to n - 1 do
-        let er = x.events.(f_r) and ea = x.events.(f_a) in
-        if
-          Event.is_fence ea
-          && er.Event.tid <> ea.Event.tid
-          && Scope.covers er.Event.scope ~own:er.Event.wg ~other:ea.Event.wg
-          && Scope.covers ea.Event.scope ~own:ea.Event.wg ~other:er.Event.wg
-        then begin
-          let linked = ref false in
-          for w = 0 to n - 1 do
-            if Relation.mem po f_r w && Event.is_write x.events.(w) then
-              for r = 0 to n - 1 do
-                if
-                  Relation.mem po r f_a
-                  && Event.is_read x.events.(r)
-                  && x.rf.(r) = Some w
-                then linked := true
-              done
-          done;
-          if !linked then sw := Relation.add !sw f_r f_a
-        end
-      done
-  done;
-  let sw = !sw in
-  let po_sw_po = Relation.compose po (Relation.compose sw po) in
-  { po; po_loc; rf; co; fr; com; sw; po_sw_po }
+  let sw_edges add =
+    for f_r = 0 to n - 1 do
+      if Event.is_fence x.events.(f_r) then
+        for f_a = 0 to n - 1 do
+          let er = x.events.(f_r) and ea = x.events.(f_a) in
+          if
+            Event.is_fence ea
+            && er.Event.tid <> ea.Event.tid
+            && Scope.covers er.Event.scope ~own:er.Event.wg ~other:ea.Event.wg
+            && Scope.covers ea.Event.scope ~own:ea.Event.wg ~other:er.Event.wg
+          then begin
+            let linked = ref false in
+            for w = 0 to n - 1 do
+              if Relation.mem po f_r w && Event.is_write x.events.(w) then
+                for r = 0 to n - 1 do
+                  if
+                    Relation.mem po r f_a
+                    && Event.is_read x.events.(r)
+                    && x.rf.(r) = Some w
+                  then linked := true
+                done
+            done;
+            if !linked then add f_r f_a
+          end
+        done
+    done
+  in
+  (* po;sw;po, straight from the sw edges: a -> c when a is po-before a
+     release fence and c po-after the acquire fence it synchronises with. *)
+  let po_sw_po_edges add =
+    sw_edges (fun f_r f_a ->
+        for a = 0 to n - 1 do
+          if Relation.mem po a f_r then
+            for c = 0 to n - 1 do
+              if Relation.mem po f_a c then add a c
+            done
+        done)
+  in
+  {
+    po;
+    po_loc;
+    rf = Relation.build n rf_edges;
+    co = Relation.build n co_edges;
+    fr = Relation.build n fr_edges;
+    com =
+      Relation.build n (fun add ->
+          rf_edges add;
+          co_edges add;
+          fr_edges add);
+    sw = Relation.build n sw_edges;
+    po_sw_po = Relation.build n po_sw_po_edges;
+  }
 
 let event_name x i =
   let _ = x in

@@ -56,8 +56,11 @@ val static_po : Event.t array -> Relation.t * Relation.t
     propagation engine seeds its incremental closure with it. *)
 
 val relations : t -> relations
-(** [relations x] computes every derived relation. Cost is cubic in the
-    event count, which is ≤ 16 for litmus tests. *)
+(** [relations x] computes every derived relation, each in one fresh
+    matrix. Cost is quadratic in the event count (≤ 16 for litmus tests)
+    plus the po;sw;po edges. A caller that checks one candidate several
+    ways — a pattern, two models — computes this once and hands it to
+    {!Model.consistent_with}. *)
 
 val event_name : t -> int -> string
 (** [event_name x i] is a short printable name for event [i]

@@ -22,8 +22,7 @@ let of_string s =
 let hb_base = function Sc -> `Po | Sc_per_location | Relacq_sc_per_location -> `Po_loc
 let hb_includes_sw = function Relacq_sc_per_location -> true | Sc | Sc_per_location -> false
 
-let hb m x =
-  let r = Execution.relations x in
+let hb_of m (r : Execution.relations) =
   let base =
     match hb_base m with `Po -> r.Execution.po | `Po_loc -> r.Execution.po_loc
   in
@@ -31,6 +30,8 @@ let hb m x =
     if hb_includes_sw m then Relation.union base r.Execution.po_sw_po else base
   in
   Relation.union base r.Execution.com
+
+let hb m x = hb_of m (Execution.relations x)
 
 (* The index of [w] in [order], or -1. *)
 let rec index_of w k = function
@@ -84,14 +85,17 @@ let atomicity_violation (x : Execution.t) =
            (name i) src co_str)
 
 let consistent m x = rmw_atomic x && Relation.is_acyclic (hb m x)
+let consistent_with m x r = rmw_atomic x && Relation.is_acyclic (hb_of m r)
 
-let hb_cycle m x =
-  match Relation.find_cycle (hb m x) with
+let hb_cycle_with m x r =
+  match Relation.find_cycle (hb_of m r) with
   | None -> None
   | Some cycle ->
       let names = List.map (Execution.event_name x) cycle in
       let first = match names with [] -> "" | n :: _ -> n in
       Some (String.concat " -> " (names @ [ first ]))
+
+let hb_cycle m x = hb_cycle_with m x (Execution.relations x)
 
 let weaker_or_equal m m' =
   let rank = function Sc_per_location -> 0 | Relacq_sc_per_location -> 1 | Sc -> 2 in

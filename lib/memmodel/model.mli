@@ -37,7 +37,12 @@ val hb_includes_sw : t -> bool
 
 val hb : t -> Execution.t -> Relation.t
 (** [hb m x] is the happens-before relation [m] induces over [x]
-    (not transitively closed). *)
+    (not transitively closed): [hb_of m (Execution.relations x)]. *)
+
+val hb_of : t -> Execution.relations -> Relation.t
+(** [hb_of m r] is [m]'s happens-before relation over a candidate whose
+    derived relations the caller already holds: [base ∪ com], with
+    [po ; sw ; po] added only when {!hb_includes_sw}. *)
 
 val rmw_atomic : Execution.t -> bool
 (** [rmw_atomic x] checks RMW atomicity: in the coherence order of its
@@ -57,11 +62,20 @@ val consistent : t -> Execution.t -> bool
     These are exactly the candidate executions the platform is allowed to
     produce under [m]. *)
 
+val consistent_with : t -> Execution.t -> Execution.relations -> bool
+(** [consistent_with m x r] is {!consistent}[ m x] for a caller that
+    already holds [r = Execution.relations x]: one set of relations
+    serves every check of one candidate. *)
+
 val hb_cycle : t -> Execution.t -> string option
 (** [hb_cycle m x] renders the happens-before cycle making [x]
     inconsistent (e.g. ["b -> c -> a -> b"]), or [None] if [x] is
     consistent apart from possible atomicity violations. Used in
     counter-example reports. *)
+
+val hb_cycle_with : t -> Execution.t -> Execution.relations -> string option
+(** {!hb_cycle} over relations the caller already holds, as
+    {!consistent_with}. *)
 
 val weaker_or_equal : t -> t -> bool
 (** [weaker_or_equal m m'] holds when every execution consistent under

@@ -21,6 +21,14 @@ let of_list n pairs =
   List.iter set pairs;
   r
 
+let build n f =
+  let r = empty n in
+  f (fun a b ->
+      check_index r a;
+      check_index r b;
+      r.m.(a).(b) <- true);
+  r
+
 let to_list r =
   let acc = ref [] in
   for a = r.n - 1 downto 0 do
@@ -114,12 +122,28 @@ let transitive_closure r =
   out
 
 let is_acyclic r =
-  let c = transitive_closure r in
-  let cyclic = ref false in
-  for a = 0 to r.n - 1 do
-    if c.m.(a).(a) then cyclic := true
+  (* Depth-first search: an edge to a vertex still on the current path
+     closes a cycle. 0 = unvisited, 1 = on the path, 2 = done. *)
+  let n = r.n in
+  let color = Array.make n 0 in
+  let rec visit a =
+    color.(a) <- 1;
+    let row = r.m.(a) and ok = ref true and b = ref 0 in
+    while !ok && !b < n do
+      if row.(!b) then begin
+        match color.(!b) with 0 -> ok := visit !b | 1 -> ok := false | _ -> ()
+      end;
+      incr b
+    done;
+    color.(a) <- 2;
+    !ok
+  in
+  let ok = ref true and a = ref 0 in
+  while !ok && !a < n do
+    if color.(!a) = 0 then ok := visit !a;
+    incr a
   done;
-  not !cyclic
+  !ok
 
 let is_total_order_on r elems =
   let closed = transitive_closure r in

@@ -20,6 +20,12 @@ val of_list : int -> (int * int) list -> t
 (** [of_list n pairs] is the relation containing exactly [pairs].
     @raise Invalid_argument if any index is outside [\[0, n)]. *)
 
+val build : int -> ((int -> int -> unit) -> unit) -> t
+(** [build n f] is the relation over [n] elements holding every pair
+    [f] passes to the function it is given: one fresh matrix, filled in
+    place, where folding {!add} copies the whole matrix per pair.
+    @raise Invalid_argument if any index is outside [\[0, n)]. *)
+
 val to_list : t -> (int * int) list
 (** [to_list r] lists the pairs of [r] in lexicographic order. *)
 
@@ -54,8 +60,9 @@ val transitive_closure : t -> t
 
 val is_acyclic : t -> bool
 (** [is_acyclic r] holds when no element reaches itself through one or more
-    steps of [r]. Irreflexive-and-transitive-closure test; a self-loop
-    makes the relation cyclic. *)
+    steps of [r] — when the diagonal of {!transitive_closure} is empty. A
+    depth-first search decides it without building the closure; a
+    self-loop makes the relation cyclic. *)
 
 val is_total_order_on : t -> int list -> bool
 (** [is_total_order_on r elems] checks that [r] restricted to [elems] is a
