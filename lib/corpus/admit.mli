@@ -70,7 +70,7 @@ val stats_fields : stats -> (string * Mcm_util.Jsonw.t) list
 val generated :
   ?engine:Mcm_oracle.Engine.t ->
   ?cross_check:bool ->
-  ?domains:int ->
+  ?pool:Mcm_util.Pool.t ->
   ?bound:int ->
   ?seed:int ->
   ?shard:int * int ->
@@ -79,8 +79,10 @@ val generated :
   entry list * stats
 (** [generated ~model shape] enumerates, samples (when [bound] caps the
     program count; [seed] drives the sample, default 0), derives,
-    certifies and dedups. [domains] shards per-program oracle work over
-    a {!Mcm_util.Pool}; results are bit-identical for every value.
+    certifies and dedups. [pool] shards per-program oracle work over a
+    lent {!Mcm_util.Pool} (the caller keeps it and shuts it down);
+    without one the work runs serially. Results are bit-identical
+    either way, for every pool size.
 
     [shard:(k, n)] keeps only candidates at index [i] with
     [i mod n = k] of the canonical (post-sample) program list, {e
@@ -92,7 +94,7 @@ val generated :
 val operator_mutants :
   ?engine:Mcm_oracle.Engine.t ->
   ?cross_check:bool ->
-  ?domains:int ->
+  ?pool:Mcm_util.Pool.t ->
   ?shard:int * int ->
   ops:Mcm_core.Mutator.op list ->
   Mcm_litmus.Litmus.t list ->
@@ -102,7 +104,7 @@ val operator_mutants :
     target for each variant through the same ladder and admits it
     through the same gate. Variants keep their parent's concretisation
     so the relation to the parent stays readable; entry [family]
-    records the operator. [shard] slices the variant list exactly as in
+    records the operator. [pool] and [shard] work exactly as in
     {!generated}. *)
 
 val certify :

@@ -34,16 +34,19 @@ let default_meta =
 type t = { meta : meta; entries : Admit.entry list; stats : Admit.stats }
 
 let generate ?(cross_check = false) ?(domains = 1) meta =
-  let gen_entries, gen_stats =
-    Admit.generated ~engine:meta.engine ~cross_check ~domains ?bound:meta.bound ~seed:meta.seed
-      ?shard:meta.shard ~model:meta.model meta.shape
-  in
-  let op_entries, op_stats =
-    if meta.ops = [] then ([], Admit.zero_stats)
-    else
-      Admit.operator_mutants ~engine:meta.engine ~cross_check ~domains ?shard:meta.shard
-        ~ops:meta.ops
-        (List.map (fun e -> e.Suite.test) (Suite.conformance_tests ()))
+  (* One pool serves both stages. *)
+  let (gen_entries, gen_stats), (op_entries, op_stats) =
+    Pool.with_pool ~domains (fun pool ->
+        let generated =
+          Admit.generated ~engine:meta.engine ~cross_check ~pool ?bound:meta.bound ~seed:meta.seed
+            ?shard:meta.shard ~model:meta.model meta.shape
+        in
+        ( generated,
+          if meta.ops = [] then ([], Admit.zero_stats)
+          else
+            Admit.operator_mutants ~engine:meta.engine ~cross_check ~pool ?shard:meta.shard
+              ~ops:meta.ops
+              (List.map (fun e -> e.Suite.test) (Suite.conformance_tests ())) ))
   in
   let entries, dups = Admit.dedup (gen_entries @ op_entries) in
   let count p = List.length (List.filter (fun (e : Admit.entry) -> e.polarity = p) entries) in
@@ -251,9 +254,10 @@ let meta_of_json j =
             (fun acc o ->
               let* acc = acc in
               match Option.bind (Jsonp.to_string_opt o) Mutator.op_of_string with
-              | Some op -> Ok (acc @ [ op ])
+              | Some op -> Ok (op :: acc)
               | None -> Error "corpus: unknown operator in ops")
             (Ok []) (Jsonp.to_list l)
+          |> Result.map List.rev
     in
     let* shard =
       match Jsonp.member "shard" j with
@@ -291,8 +295,9 @@ let of_string s =
           (fun acc e ->
             let* acc = acc in
             let* entry = entry_of_json e in
-            Ok (acc @ [ entry ]))
+            Ok (entry :: acc))
           (Ok []) (Jsonp.to_list l)
+        |> Result.map List.rev
   in
   let stats =
     match Jsonp.member "stats" j with Some s -> stats_of_json s | None -> Admit.zero_stats
