@@ -25,11 +25,15 @@ val enumerate : Shape.t -> skeleton list * int
 (** [enumerate shape] is the canonical, deduplicated skeletons within
     [shape] (deterministic order: first occurrence in the enumeration)
     and the number of raw pre-canonical programs that survived the
-    static prunes — the denominator for dedup ratios. *)
+    static prunes — the denominator for dedup ratios. Raises
+    [Invalid_argument] on a shape wider than 4 locations or 15 events
+    plus threads, which no shape {!Shape.validate} accepts comes near. *)
 
 val canonical : sym list array -> skeleton
 (** [canonical threads] renumbers and permutes an arbitrary symbolic
-    program to its canonical representative. Idempotent. *)
+    program to its canonical representative: the least under [compare]
+    over thread orders, locations renumbered by first use. Idempotent.
+    Raises [Invalid_argument] on a negative location. *)
 
 val of_threads : Mcm_litmus.Instr.t list array -> sym list array
 (** Erase a concrete program back to symbols (values and registers
