@@ -1649,6 +1649,7 @@ let corpus_bench ~smoke () =
       [
         ("benchmark", Jsonw.String "corpus");
         ("smoke", Jsonw.Bool smoke);
+        ("cores", Jsonw.Int (Pool.default_domains ()));
         ("corpus_version", Jsonw.String Mcm_corpus.Version.version);
         ("shape", Jsonw.String shape_spec);
         ("raw", Jsonw.Int s.CAdmit.raw);
