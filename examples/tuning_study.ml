@@ -8,6 +8,8 @@
      - stress      -> contention: amplifies weak memory, but costs time
                       (watch the rate fall on stress-sensitive devices
                       even as the weak fraction rises).
+   Two ablations follow: the pairing permutation, and the simulator's
+   weak-memory mechanisms knocked out one at a time.
 
    Run with: dune exec examples/tuning_study.exe *)
 
@@ -15,6 +17,9 @@ module Suite = Mcm_core.Suite
 module Litmus = Mcm_litmus.Litmus
 module Profile = Mcm_gpu.Profile
 module Device = Mcm_gpu.Device
+module Instance = Mcm_gpu.Instance
+module Bug = Mcm_gpu.Bug
+module Prng = Mcm_util.Prng
 module Params = Mcm_testenv.Params
 module Runner = Mcm_testenv.Runner
 module Request = Mcm_testenv.Request
@@ -48,6 +53,44 @@ let study ~title ~device ~test ~envs =
           pct h.Runner.sequential;
         ])
     envs;
+  Table.print t
+
+(* Switch each of the simulator's weak-memory mechanisms off in turn and
+   count, out of 3000 instances on NVIDIA, those that kill each
+   mutant. *)
+let knockout ~base =
+  let device = Device.make Profile.nvidia in
+  let full =
+    Instance.effective_params Profile.nvidia
+      ~amplification:(Runner.amplification device base ~roles:2)
+  in
+  let kills weak test =
+    let g = Prng.create 99 in
+    let n = ref 0 in
+    for _ = 1 to 3000 do
+      let starts = [| Prng.float g 40.; Prng.float g 40. |] in
+      let o = Instance.run ~prng:(Prng.split g) ~weak ~bugs:Bug.none ~test ~starts () in
+      if test.Litmus.target o then incr n
+    done;
+    !n
+  in
+  let tests =
+    List.map (fun n -> (Option.get (Suite.find n)).Suite.test) [ "CoRR-m"; "MP-CO-m"; "LB-CO-m" ]
+  in
+  Printf.printf "\nMechanism knockout (device %s, kills out of 3000 instances)\n"
+    (Device.name device);
+  let t = Table.create ("Mechanisms" :: List.map (fun (t : Litmus.t) -> t.Litmus.name) tests) in
+  List.iter
+    (fun (label, weak) ->
+      Table.add_row t (label :: List.map (fun test -> string_of_int (kills weak test)) tests))
+    [
+      ("all mechanisms", full);
+      ("no store-visibility delay", { full with Instance.vis_delay_mean_ns = 0. });
+      ("no load staleness", { full with Instance.p_stale = 0. });
+      ("no out-of-order window", { full with Instance.p_ooo = 0. });
+      ( "interleaving only",
+        { full with Instance.vis_delay_mean_ns = 0.; p_stale = 0.; p_ooo = 0. } );
+    ];
   Table.print t
 
 let () =
@@ -95,4 +138,7 @@ let () =
       [
         ("inter-workgroup", base);
         ("intra-workgroup", Params.with_scope base Params.Intra_workgroup);
-      ]
+      ];
+
+  (* 6. Which simulator mechanism carries which mutant. *)
+  knockout ~base

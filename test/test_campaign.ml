@@ -1,8 +1,9 @@
 (* Tests for mcm_campaign: content keys, the on-disk store's durability
    and recovery rules, the crash-safe journal, the cache-aware scheduler,
-   and the end-to-end kill-and-resume contract (a sweep interrupted
-   mid-run and resumed through the store reproduces the uninterrupted
-   sweep bit-identically). *)
+   the end-to-end kill-and-resume contract (a sweep interrupted mid-run
+   and resumed through the store reproduces the uninterrupted sweep
+   bit-identically, and `mcmutants cache verify` flags the torn store
+   and passes the resumed one), and the warm store's 10x speed floor. *)
 
 module Key = Mcm_campaign.Key
 module Store = Mcm_campaign.Store
@@ -44,6 +45,24 @@ let with_temp_dir f =
   rm_rf dir;
   Unix.mkdir dir 0o755;
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
+(* The built binary: a dune dependency of the suite, found beside the
+   test directory under dune and under _build from the repository
+   root. *)
+let exe =
+  let candidates =
+    [
+      Filename.concat ".." (Filename.concat "bin" "mcmutants.exe");
+      Filename.concat "_build" (Filename.concat "default" (Filename.concat "bin" "mcmutants.exe"));
+    ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | Some p -> p
+  | None -> List.hd candidates
+
+(* The exit code of `mcmutants ARGS`, its output discarded. *)
+let cli_status args =
+  Sys.command (Printf.sprintf "%s %s > /dev/null 2>&1" (Filename.quote exe) args)
 
 let append_raw path s =
   let oc = open_out_gen [ Open_append; Open_wronly; Open_binary; Open_creat ] 0o644 path in
@@ -423,29 +442,30 @@ let test_sched_journal_checkpoints () =
 (* -------------------------------------------------------------------- *)
 (* Kill-and-resume: the end-to-end contract                               *)
 
+let mutants names =
+  List.filter (fun (e : Suite.entry) -> List.mem e.Suite.test.Litmus.name names) (Suite.mutants ())
+
+(* Sweeps compare on their closure-free fields, floats included. *)
+let fingerprint runs =
+  List.map
+    (fun (r : Tuning.run) ->
+      (r.Tuning.category, r.Tuning.env_index, r.Tuning.test_name, r.Tuning.result))
+    runs
+
 (* Simulate a SIGKILL mid-sweep: run a tiny tuning sweep through a
    store, then corrupt the artefacts the way a kill would (store segment
    truncated mid-record, journal left with a torn tail and no completion
    record), then resume. The resumed sweep must (a) resume rather than
    restart, (b) reproduce the uninterrupted sweep's tallies
-   bit-identically, and (c) leave a store that verifies clean. *)
+   bit-identically, and (c) leave a store that verifies clean, through
+   the library and through `mcmutants cache verify`, which must also
+   have refused the torn store. *)
 let test_kill_and_resume () =
   let config =
     { Tuning.n_envs = 2; site_iterations = 4; pte_iterations = 2; scale = 0.01; seed = 7 }
   in
   let devices = [ Lazy.force nvidia ] in
-  let tests =
-    List.filter
-      (fun (e : Suite.entry) ->
-        List.mem e.Suite.test.Litmus.name [ "MP-CO-m"; "CoRR-m" ])
-      (Suite.mutants ())
-  in
-  let fingerprint runs =
-    List.map
-      (fun (r : Tuning.run) ->
-        (r.Tuning.category, r.Tuning.env_index, r.Tuning.test_name, r.Tuning.result))
-      runs
-  in
+  let tests = mutants [ "MP-CO-m"; "CoRR-m" ] in
   let baseline = fingerprint (Tuning.sweep ~devices ~tests config) in
   with_temp_dir (fun dir ->
       let jpath = Filename.concat dir "journal.jsonl" in
@@ -475,6 +495,8 @@ let test_kill_and_resume () =
          must match the uninterrupted run exactly. *)
       Journal.with_journal jpath (fun j ->
           check "interrupted journal is unfinished" false (Journal.finished j));
+      let store_arg = "--store " ^ Filename.quote dir in
+      check "cache verify fails on the torn store" true (cli_status ("cache verify " ^ store_arg) <> 0);
       let resumed = stored () in
       check "resumed sweep bit-identical" true (fingerprint resumed = baseline);
       Journal.with_journal jpath (fun j ->
@@ -482,8 +504,48 @@ let test_kill_and_resume () =
       (match Store.verify dir with
       | Ok r -> check "store verifies clean after resume" true (Store.verify_ok r)
       | Error e -> Alcotest.failf "verify: %s" e);
+      check_int "cache verify passes the resumed store" 0 (cli_status ("cache verify " ^ store_arg));
+      check_int "cache stats reads the resumed store" 0 (cli_status ("cache stats " ^ store_arg));
       (* And a third run is all hits — still identical. *)
       check "warm rerun identical" true (fingerprint (stored ()) = baseline))
+
+(* The warm store's speed floor, on a sweep of 2 devices x 3 mutants x
+   8 environment rows at 160/40 SITE/PTE iterations over 2 domains: the
+   fastest of three warm reruns, every cell served from the store, is
+   at least 10x faster than the cold run that computed and stored the
+   cells. Cold and warm both reproduce the sweep without a store. *)
+let test_warm_store_speedup () =
+  let config =
+    { Tuning.n_envs = 2; site_iterations = 160; pte_iterations = 40; scale = 0.02; seed = 20230325 }
+  in
+  let devices = [ Lazy.force nvidia; Device.make Profile.intel ] in
+  let tests = mutants [ "MP-CO-m"; "CoRR-m"; "MP-relacq-m3" ] in
+  let sweep ?store ?journal () =
+    Tuning.sweep ~ctx:(Request.context ~domains:2 ?store ?journal ()) ~devices ~tests config
+  in
+  let baseline = fingerprint (sweep ()) in
+  with_temp_dir (fun dir ->
+      let stored () =
+        Store.with_store dir (fun store ->
+            Journal.with_journal (Filename.concat dir "journal.jsonl") (fun journal ->
+                sweep ~store ~journal ()))
+      in
+      let timed () =
+        let t0 = Unix.gettimeofday () in
+        let runs = stored () in
+        (runs, Unix.gettimeofday () -. t0)
+      in
+      let cold, cold_s = timed () in
+      check "cold sweep identical" true (fingerprint cold = baseline);
+      let warm_s =
+        List.init 3 (fun _ ->
+            let warm, s = timed () in
+            check "warm sweep identical" true (fingerprint warm = baseline);
+            s)
+        |> List.fold_left Float.min infinity
+      in
+      if cold_s < 10. *. warm_s then
+        Alcotest.failf "warm rerun %.4f s is under 10x faster than cold %.4f s" warm_s cold_s)
 
 (* -------------------------------------------------------------------- *)
 (* Runner codecs: what the store persists must decode to what was
@@ -563,7 +625,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_sched_family_grouping_invisible;
         ] );
       ( "resume",
-        [ Alcotest.test_case "kill and resume" `Quick test_kill_and_resume ] );
+        [
+          Alcotest.test_case "kill and resume" `Quick test_kill_and_resume;
+          Alcotest.test_case "warm store 10x cold" `Slow test_warm_store_speedup;
+        ] );
       ( "runner",
         [
           Alcotest.test_case "codecs round-trip" `Quick test_runner_codecs;

@@ -2,7 +2,8 @@
    (rediscovery of the classic two-location tests from the bare 2x4x2
    space), the oracle-certified admission gate (both engines must agree
    on every verdict), the operator layer, print/parse round-trips that
-   preserve store identity, and corpus serialization. *)
+   preserve store identity, corpus serialization, and a generated corpus
+   run as a store-backed campaign. *)
 
 module Model = Mcm_memmodel.Model
 module Litmus = Mcm_litmus.Litmus
@@ -20,6 +21,11 @@ module Admit = Mcm_corpus.Admit
 module Corpus = Mcm_corpus.Corpus
 module Version = Mcm_corpus.Version
 module Pool = Mcm_util.Pool
+module Store = Mcm_campaign.Store
+module Sched = Mcm_campaign.Sched
+module Request = Mcm_testenv.Request
+module Runner = Mcm_testenv.Runner
+module Grid = Mcm_harness.Grid
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -552,6 +558,37 @@ let test_corpus_reproducible () =
     (Corpus.to_string b);
   check_bool "keys equal" true (Key.equal (Corpus.key a) (Corpus.key b))
 
+(* A generated corpus is an ordinary campaign: through the schema plan
+   and a store on two domains, the cold run equals the store-less one
+   and the warm rerun is served entirely from the store, identically. *)
+let test_corpus_campaign_cached () =
+  let entries = Array.of_list (Corpus.generate small_meta).Corpus.entries in
+  let n = Array.length entries in
+  let device = Mcm_gpu.Device.make Mcm_gpu.Profile.nvidia in
+  let env = Mcm_testenv.Params.scaled Mcm_testenv.Params.pte_baseline 0.02 in
+  let request i =
+    Request.make ~device ~env ~test:entries.(i).Admit.test ~iterations:2 ~seed:20230325 ()
+  in
+  let grid = Grid.make Runner.Rate ~n ~request in
+  let dir = Filename.temp_file "mcm_corpus_store" "" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+    (fun () ->
+      let sweep () =
+        Store.with_store dir (fun store ->
+            Grid.run_stats (Request.context ~domains:2 ~store ~plan:Request.Schema ()) grid)
+      in
+      let cold, _ = sweep () in
+      let warm, stats = sweep () in
+      check_bool "cold run equals the store-less run" true (cold = Grid.run Request.serial grid);
+      check_bool "warm rerun equals the cold run" true (warm = cold);
+      match stats with
+      | Some st ->
+          check_int "every warm cell a hit" n st.Sched.hits;
+          check_int "no warm misses" 0 st.Sched.misses
+      | None -> Alcotest.fail "no planner stats from a store-backed run")
+
 let test_corpus_save_load () =
   let c = Corpus.generate small_meta in
   let path = Filename.temp_file "mcm_corpus" ".json" in
@@ -703,6 +740,7 @@ let () =
           Alcotest.test_case "tamper detection" `Slow test_corpus_tamper_detected;
           Alcotest.test_case "recertify" `Slow test_corpus_recertify;
           Alcotest.test_case "version in family" `Slow test_version_in_family;
+          Alcotest.test_case "campaign through a store" `Quick test_corpus_campaign_cached;
         ] );
       ( "pins",
         [

@@ -4,7 +4,9 @@
    and seeds; compile_cached's shared images and adopted workspaces
    must be indistinguishable from compile; and campaigns through the
    kernel engine must reproduce the interpreter engine exactly at every
-   domain count. *)
+   domain count. In the release profile, the kernel campaign and the
+   direct run_next loop must also stay within their allocation
+   budgets. *)
 
 module Prng = Mcm_util.Prng
 module Litmus = Mcm_litmus.Litmus
@@ -399,6 +401,67 @@ let test_rewritten_register_uncoded () =
   check "r0 written twice: uncoded" true (code_space (reader [ 0; 0 ]) = None);
   check "r0 then r1: coded" true (code_space (reader [ 0; 1 ]) = Some 8)
 
+(* ------------------------------------------------------------------ *)
+(* Allocation budgets (release profile)                                *)
+
+(* The dev profile compiles with -opaque, which keeps exec_core and the
+   Prng.Raw draws from inlining across modules, so each draw returns a
+   boxed float. Both budgets are release-profile properties; in any
+   other profile these cases skip. *)
+let release_only () = if Build_profile.name <> "release" then Alcotest.skip ()
+
+let nvidia_mp_relacq_m3 () =
+  let device = Device.make Profile.nvidia in
+  let test = (Option.get (Suite.find "MP-relacq-m3")).Suite.test in
+  (device, test, Params.scaled Params.pte_baseline 0.02)
+
+(* A Histogram campaign on one domain, role assignment to tally, costs
+   at most one minor word per executed instance. The interpreter runs
+   the same cell first, and the two engines must agree. *)
+let test_campaign_allocation () =
+  release_only ();
+  let device, test, env = nvidia_mp_relacq_m3 () in
+  let request engine = Request.make ~engine ~device ~env ~test ~iterations:4 ~seed:20230325 () in
+  let ((r, _) as reference) =
+    Runner.exec Runner.Histogram (request Runner.Interpreter) Request.serial
+  in
+  Gc.full_major ();
+  let before = Gc.minor_words () in
+  let kernel = Runner.exec Runner.Histogram (request Runner.Kernel) Request.serial in
+  let words = Gc.minor_words () -. before in
+  check "kernel campaign equals the interpreter's" true (kernel = reference);
+  let per_instance = words /. float_of_int (max 1 r.Runner.instances) in
+  if per_instance > 1. then
+    Alcotest.failf "kernel campaign allocates %.3f minor words per instance (budget 1)"
+      per_instance
+
+(* After a warm-up, direct run_next calls allocate nothing per
+   instance; the budget covers the counter's own boxes. *)
+let test_run_next_allocation () =
+  release_only ();
+  let device, test, env = nvidia_mp_relacq_m3 () in
+  let roles = Litmus.nthreads test in
+  let weak =
+    Instance.effective_params Profile.nvidia
+      ~amplification:(Runner.amplification device env ~roles)
+  in
+  let kernel = Kernel.compile ~weak ~bugs:(Device.effect device) ~test () in
+  let ws = Kernel.workspace kernel in
+  Kernel.set_parent ws (Prng.create 20230325);
+  let starts = Array.init roles (fun r -> 2. *. float_of_int r) in
+  let loop () =
+    for _ = 1 to 5_000 do
+      ignore (Kernel.run_next kernel ws ~starts ~off:0)
+    done
+  in
+  loop ();
+  Gc.full_major ();
+  let before = Gc.minor_words () in
+  loop ();
+  let words = Gc.minor_words () -. before in
+  if words >= 256. then
+    Alcotest.failf "5000 run_next calls allocated %.0f minor words (budget < 256)" words
+
 let () =
   Alcotest.run "kernel"
     [
@@ -422,5 +485,11 @@ let () =
             test_code_space_covers_repository;
           Alcotest.test_case "above the cap falls back" `Quick test_above_cap_falls_back;
           Alcotest.test_case "rewritten register uncoded" `Quick test_rewritten_register_uncoded;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "campaign within 1 word per instance" `Quick
+            test_campaign_allocation;
+          Alcotest.test_case "run_next steady state" `Quick test_run_next_allocation;
         ] );
     ]

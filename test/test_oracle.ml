@@ -747,6 +747,20 @@ let prop_grid_jobs_identical =
       let sharded = Outcome.allowed_grid ~domains points in
       List.for_all2 Outcome.equal serial sharded)
 
+(* The same over the classic library, 21 tests x 3 models, where
+   neighbouring points have different allowed sets, so a result landing
+   at the wrong index shows. *)
+let test_library_grid_jobs_identical () =
+  let points = List.concat_map (fun t -> List.map (fun m -> (m, t)) Model.all) Library.all in
+  let serial = Outcome.allowed_grid points in
+  List.iter
+    (fun domains ->
+      check
+        (Printf.sprintf "library grid identical at %d domains" domains)
+        true
+        (List.for_all2 Outcome.equal serial (Outcome.allowed_grid ~domains points)))
+    [ 2; 4 ]
+
 let prop_consistent_count_bounded =
   QCheck.Test.make ~count:120 ~name:"consistent candidates never exceed the analytic total"
     program_arb (fun t ->
@@ -940,6 +954,10 @@ let () =
             prop_monotone_random;
             prop_grid_jobs_identical;
             prop_consistent_count_bounded;
+          ]
+        @ [
+            Alcotest.test_case "allowed_grid over the library at 2 and 4 domains" `Quick
+              test_library_grid_jobs_identical;
           ] );
       ( "properties-differential",
         qcheck

@@ -1,7 +1,8 @@
 (* Tests for the schema execution plan: a campaign under
    [Request.Schema] (shared kernel images, the prefab cache, the
    per-domain workspace arena) must reproduce [Request.Per_cell] exactly
-   for every collector and domain count, and the arena must hand one
+   for every collector and domain count, over random requests and over
+   a family-grouped Table-4-shaped matrix, and the arena must hand one
    workspace from cell to cell of an image. *)
 
 module Prng = Mcm_util.Prng
@@ -14,6 +15,8 @@ module Device = Mcm_gpu.Device
 module Params = Mcm_testenv.Params
 module Runner = Mcm_testenv.Runner
 module Request = Mcm_testenv.Request
+module Grid = Mcm_harness.Grid
+module Table4 = Mcm_harness.Experiments.Table4
 
 let check = Alcotest.(check bool)
 
@@ -53,6 +56,48 @@ let prop_plan_equivalent =
         per_cell = schema
       in
       agree Runner.Rate && agree Runner.Histogram && agree Runner.Outcomes)
+
+(* A Table-4-shaped matrix: the three case-study columns (conformance
+   test plus its mutants, on the vendor's buggy device) x 2 Single-mode
+   environments x 2 seeds, 1 iteration, through a family-grouped grid on
+   one domain. A Single-mode cell runs one instance per iteration, and
+   the seeds make whole campaign prefixes recur, so most cells are
+   answered by the prefab cache and the arena. *)
+let test_table4_matrix () =
+  let seed = 20230325 in
+  let n_envs = 2 and n_seeds = 2 in
+  let cells =
+    Array.of_list
+      (List.concat_map
+         (fun (profile, conf_name, _) ->
+           let device =
+             match Bug.paper_bug profile with
+             | Some bug -> Device.make ~bugs:[ bug ] profile
+             | None -> Device.make profile
+           in
+           let tests =
+             suite_test conf_name
+             :: List.map (fun (e : Mcm_core.Suite.entry) -> e.Mcm_core.Suite.test)
+                  (Mcm_core.Suite.mutants_of conf_name)
+           in
+           let g = Prng.create (Prng.mix seed (Hashtbl.hash conf_name)) in
+           let envs = List.init n_envs (fun _ -> Params.scaled (Params.random g Params.Single) 0.02) in
+           List.concat_map
+             (fun (test : Litmus.t) ->
+               List.concat_map
+                 (fun env ->
+                   List.init n_seeds (fun s ->
+                       let seed = Prng.mix seed (Hashtbl.hash (conf_name, test.Litmus.name, s)) in
+                       Request.make ~device ~env ~test ~iterations:1 ~seed ()))
+                 envs)
+             tests)
+         Table4.cases)
+  in
+  let family i = i / (n_envs * n_seeds) in
+  let grid = Grid.make ~family Runner.Rate ~n:(Array.length cells) ~request:(Array.get cells) in
+  let sweep plan = Grid.run (Request.context ~plan ~domains:1 ()) grid in
+  let reference = sweep Request.Per_cell in
+  check "Schema == Per_cell on every cell" true (sweep Request.Schema = reference)
 
 let test_plan_names_roundtrip () =
   List.iter
@@ -138,6 +183,7 @@ let () =
       ( "plans",
         List.map QCheck_alcotest.to_alcotest [ prop_plan_equivalent ]
         @ [
+            Alcotest.test_case "Table-4 matrix: Schema == Per_cell" `Quick test_table4_matrix;
             Alcotest.test_case "plan names" `Quick test_plan_names_roundtrip;
             Alcotest.test_case "engine counters" `Quick test_engine_counters_monotone;
           ] );

@@ -5,8 +5,11 @@
      layout; workgroup-scope fences synchronize only intra-workgroup,
      so the narrowed tests flip from conformance to weak mutant when
      the threads land in distinct workgroups.
+   - Both oracle engines compute the same scoped allowed-sets and
+     verdicts under both layouts.
    - The Scope_dropped bug injection is caught by device-scope mutants
-     run inter-workgroup and is invisible intra-workgroup.
+     run inter-workgroup and is invisible intra-workgroup, instance by
+     instance and through campaigns of both execution engines.
    - interpreter ≡ kernel over random SCOPED programs: bit-identical
      outcomes and PRNG draw consumption.
    - Fsn (fence scope narrowing) mutates with stable positional labels
@@ -33,6 +36,10 @@ module Outcome = Mcm_oracle.Outcome
 module Shape = Mcm_corpus.Shape
 module Admit = Mcm_corpus.Admit
 module Corpus = Mcm_corpus.Corpus
+module Device = Mcm_gpu.Device
+module Params = Mcm_testenv.Params
+module Request = Mcm_testenv.Request
+module Runner = Mcm_testenv.Runner
 
 let check = Alcotest.(check bool)
 
@@ -91,11 +98,22 @@ let test_certified_at_both_scopes () =
         scoped_suite)
     Engine.all
 
+(* The scoped sw gate is implemented twice, as an enumeration filter
+   and in constraint propagation: both engines give the same allowed
+   set and the same verdicts for every test and layout. *)
 let test_engines_agree_on_scoped_verdicts () =
   List.iter
     (fun t ->
       List.iter
         (fun layout ->
+          let allowed engine =
+            Outcome.elements (Outcome.allowed ~engine ~layout t.Litmus.model t)
+          in
+          check
+            (Printf.sprintf "engines agree on the allowed set of %s (%s)" t.Litmus.name
+               (Scope.layout_name layout))
+            true
+            (allowed Engine.Enumerate = allowed Engine.Propagate);
           List.iter
             (fun certify ->
               let ve = certify ~engine:Engine.Enumerate ~layout t in
@@ -176,6 +194,34 @@ let test_scope_drop_visibility () =
        blocks positionally whether or not it synchronizes — so LB
        cannot see this bug operationally. *)
     [ Library.mp_relacq; Library.sb_relacq_rmw ]
+
+(* The same through campaigns on two domains: a device-scope
+   conformance test kills a Scope_dropped device inter-workgroup and
+   sees nothing intra-workgroup, a clean device never fails it, and the
+   interpreter and kernel campaigns agree. *)
+let test_scope_drop_campaigns () =
+  let bugged = Device.make ~bugs:[ Bug.Scope_dropped 1.0 ] Profile.nvidia in
+  let clean = Device.make Profile.nvidia in
+  let inter = Params.scaled Params.pte_baseline 0.05 in
+  let intra = Params.with_scope inter Params.Intra_workgroup in
+  let kills engine =
+    List.map
+      (fun (device, env) ->
+        (Runner.exec Runner.Rate
+           (Request.make ~engine ~device ~env ~test:Library.mp_relacq ~iterations:4
+              ~seed:20230325 ())
+           (Request.context ~domains:2 ()))
+          .Runner.kills)
+      [ (bugged, inter); (bugged, intra); (clean, inter) ]
+  in
+  let interpreter = kills Runner.Interpreter in
+  check "kernel campaigns equal the interpreter's" true (kills Runner.Kernel = interpreter);
+  match interpreter with
+  | [ inter_bugged; intra_bugged; inter_clean ] ->
+      check "bug caught inter-workgroup" true (inter_bugged > 0);
+      Alcotest.(check int) "bug invisible intra-workgroup" 0 intra_bugged;
+      Alcotest.(check int) "clean device never fails" 0 inter_clean
+  | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* interpreter ≡ kernel ≡ schema over random scoped programs.          *)
@@ -432,7 +478,10 @@ let () =
             test_device_scope_layout_invariant;
         ] );
       ( "bug",
-        [ Alcotest.test_case "Scope_dropped visibility" `Slow test_scope_drop_visibility ] );
+        [
+          Alcotest.test_case "Scope_dropped visibility" `Slow test_scope_drop_visibility;
+          Alcotest.test_case "Scope_dropped campaigns" `Quick test_scope_drop_campaigns;
+        ] );
       ( "engines",
         [ QCheck_alcotest.to_alcotest ~long:true prop_engines_bit_identical ] );
       ( "mutator",
