@@ -22,6 +22,7 @@ module Runner = Mcm_testenv.Runner
 module Request = Mcm_testenv.Request
 module Tuning = Mcm_harness.Tuning
 module Experiments = Mcm_harness.Experiments
+module Results = Mcm_harness.Results
 module Table = Mcm_util.Table
 module Prng = Mcm_util.Prng
 module CKey = Mcm_campaign.Key
@@ -474,22 +475,22 @@ let sweep_of_config exec =
   with_ctx exec
     ~sweep:(fun () ->
       Tuning.sweep_key config ~devices:(Device.all_correct ()) ~tests:(Suite.mutants ()))
-    (fun ctx -> Tuning.sweep ~ctx config)
+    (fun ctx -> Results.of_runs (Tuning.sweep ~ctx config))
 
 let fig5_cmd =
   let run exec =
-    let runs = sweep_of_config exec in
+    let table = sweep_of_config exec in
     List.iter
       (fun (title, t) ->
         print_newline ();
         print_endline title;
         Table.print t)
-      (Experiments.Fig5.all_tables runs);
+      (Experiments.Fig5.all_tables table);
     print_newline ();
     print_endline "Simulated tuning time per category (Sec. 5.1):";
     List.iter
       (fun (name, s) -> Printf.printf "  %-14s %10.1f simulated seconds\n" name s)
-      (Experiments.Fig5.tuning_time runs)
+      (Experiments.Fig5.tuning_time table)
   in
   Cmd.v
     (Cmd.info "fig5" ~doc:"Reproduce Figure 5 (mutation scores and death rates)")
@@ -497,10 +498,10 @@ let fig5_cmd =
 
 let fig6_cmd =
   let run exec =
-    let runs = sweep_of_config exec in
+    let table = sweep_of_config exec in
     print_newline ();
     print_endline "Figure 6: mutation score vs per-test time budget (merged environments, Alg. 1)";
-    Table.print (Experiments.Fig6.table runs)
+    Table.print (Experiments.Fig6.table table)
   in
   Cmd.v
     (Cmd.info "fig6" ~doc:"Reproduce Figure 6 (reproducible mutation score vs time budget)")
@@ -732,13 +733,12 @@ let prune_cmd =
 
 let tune_cmd =
   let run save jobs =
-    let runs = sweep_of_config (no_store jobs) in
-    let records = Mcm_harness.Results.of_runs runs in
-    Printf.printf "%d measurements\n" (List.length records);
+    let table = sweep_of_config (no_store jobs) in
+    Printf.printf "%d measurements\n" (List.length (Results.records table));
     match save with
     | None -> print_endline "(use --save FILE to write the JSON results)"
     | Some path -> (
-        match Mcm_harness.Results.save path records with
+        match Results.save path table with
         | Ok () -> Printf.printf "saved %s\n" path
         | Error e -> or_die (Error ("--save: " ^ e)))
   in
@@ -752,33 +752,41 @@ let tune_cmd =
 (* ------------------------------------------------------------------ *)
 (* analysis: the artifact's analysis.py, over saved JSON                *)
 
+(* --rep and --budget of the commands that merge environments. *)
+let in_open lo hi what x =
+  if x > lo && x < hi then Ok x
+  else Error (Printf.sprintf "expected %s in (%g,%g), got %g" what lo hi x)
+
+let budget_t default =
+  validated [ "budget" ] Arg.float default ~docv:"B"
+    ~doc:"Per-test time budget in seconds, finite and > 0."
+    (fun b ->
+      if Float.is_finite b && b > 0. then Ok b
+      else Error (Printf.sprintf "expected a finite number > 0, got %g" b))
+
 let analysis_cmd =
   let run action stats_path category rep budget tests =
-    let records =
-      or_die (Result.map_error (fun e -> "--stats: " ^ e) (Mcm_harness.Results.load stats_path))
-    in
+    let table = or_die (Result.map_error (fun e -> "--stats: " ^ e) (Results.load stats_path)) in
+    let known = Results.tests table in
+    Option.iter
+      (fun name -> or_die (Error (Printf.sprintf "--test: unknown test %S in %s" name stats_path)))
+      (List.find_opt (fun name -> not (List.mem name known)) tests);
     match action with
-    | "mutation-score" ->
+    | `Mutation_score ->
         let t = Table.create [ "Mutator"; "Mutation score"; "Avg death rate (/s)" ] in
         List.iter
           (fun (label, score, rate) ->
             Table.add_row t [ label; Table.pct_cell score; Table.rate_cell rate ])
-          (Mcm_harness.Results.mutation_score records ~category);
+          (Results.mutation_score table ~category);
         Table.print t
-    | "merge" ->
-        let score =
-          Mcm_harness.Results.merge_score records ~category ~target:(rep /. 100.) ~budget
-        in
+    | `Merge ->
+        let score = Results.merge_score table ~category ~target:(rep /. 100.) ~budget in
         Printf.printf
           "%s of tests reproducible on all devices at %g%% within %gs per test (category %s)\n"
           (Table.pct_cell score) rep budget category
-    | "correlation" ->
-        let tests =
-          match tests with
-          | [] -> Mcm_harness.Results.tests records
-          | ts -> ts
-        in
-        let matrix = Mcm_harness.Results.correlation_matrix records ~category ~tests in
+    | `Correlation ->
+        let tests = if tests = [] then known else tests in
+        let matrix = Results.correlation_matrix table ~category ~tests in
         let t = Table.create ("" :: tests) in
         List.iteri
           (fun i name ->
@@ -787,15 +795,14 @@ let analysis_cmd =
               :: Array.to_list (Array.map (fun r -> Table.float_cell ~decimals:3 r) matrix.(i))))
           tests;
         Table.print t
-    | other ->
-        prerr_endline ("mcmutants: unknown action " ^ other ^ " (mutation-score|merge|correlation)");
-        exit 1
   in
   let action =
-    Arg.(
-      value
-      & opt string "mutation-score"
-      & info [ "action" ] ~docv:"ACTION" ~doc:"mutation-score, merge or correlation.")
+    let actions =
+      [ ("mutation-score", `Mutation_score); ("merge", `Merge); ("correlation", `Correlation) ]
+    in
+    validated [ "action" ] Arg.string "mutation-score" ~docv:"ACTION"
+      ~doc:"mutation-score, merge or correlation."
+      (one_of "action" (fun a -> List.assoc_opt a actions) (List.map fst actions))
   in
   let stats =
     Arg.(
@@ -804,32 +811,32 @@ let analysis_cmd =
       & info [ "stats" ] ~docv:"FILE" ~doc:"Results JSON written by `mcmutants tune --save`.")
   in
   let category =
-    Arg.(value & opt string "PTE" & info [ "category" ] ~docv:"CAT" ~doc:"Environment category.")
+    let names = List.map Tuning.category_name Tuning.all_categories in
+    validated [ "category" ] Arg.string "PTE" ~docv:"CAT"
+      ~doc:"Environment category: SITE-baseline, SITE, PTE-baseline or PTE."
+      (one_of "category" (fun c -> List.find_opt (String.equal c) names) names)
   in
   let rep =
-    Arg.(value & opt float 95. & info [ "rep" ] ~docv:"R" ~doc:"Reproducibility target in percent.")
-  in
-  let budget =
-    Arg.(value & opt float 1.0 & info [ "budget" ] ~docv:"B" ~doc:"Per-test budget in seconds.")
+    validated [ "rep" ] Arg.float 95. ~docv:"R"
+      ~doc:"Reproducibility target in percent, in (0,100)."
+      (in_open 0. 100. "a percent")
   in
   let tests =
     Arg.(value & opt_all string [] & info [ "test" ] ~docv:"TEST" ~doc:"Tests to correlate.")
   in
   Cmd.v
     (Cmd.info "analysis" ~doc:"Analyse saved tuning results (the artifact's analysis.py)")
-    Term.(const run $ action $ stats $ category $ rep $ budget $ tests)
+    Term.(const run $ action $ stats $ category $ rep $ budget_t 1.0 $ tests)
 
 (* ------------------------------------------------------------------ *)
 (* cts: the Sec. 4.2 curation story                                     *)
 
 let cts_cmd =
   let run target budget jobs =
-    let runs = sweep_of_config (no_store jobs) in
-    let devices = List.map (fun p -> p.Profile.short_name) Profile.all in
-    let n_devices = List.length devices in
-    let n_envs =
-      List.length (Tuning.envs_for (Tuning.default_config ()) Tuning.Pte)
-    in
+    let table = sweep_of_config (no_store jobs) in
+    let category = Tuning.category_name Tuning.Pte in
+    let n_devices = List.length (Results.devices table) in
+    let mutants = Results.tests table in
     let t =
       Table.create
         ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right ]
@@ -837,13 +844,8 @@ let cts_cmd =
     in
     let chosen =
       List.filter_map
-        (fun (e : Suite.entry) ->
-          let name = e.Suite.test.Litmus.name in
-          let rate ~env ~device =
-            Tuning.rate runs Tuning.Pte ~test:name ~device:(List.nth devices device)
-              ~env_index:env
-          in
-          match MergeAlg.choose ~rate ~n_envs ~n_devices ~target ~budget with
+        (fun name ->
+          match Results.choose table ~category ~test:name ~target ~budget with
           | None ->
               Table.add_row t [ name; "-"; "0"; "0" ];
               None
@@ -856,29 +858,26 @@ let cts_cmd =
                   Table.rate_cell c.MergeAlg.min_positive_rate;
                 ];
               Some c)
-        (Suite.mutants ())
+        mutants
     in
     Table.print t;
     let full = List.filter (fun c -> c.MergeAlg.devices_at_ceiling = n_devices) chosen in
-    let mutants = List.length (Suite.mutants ()) in
     Printf.printf
       "\n%d/%d mutants reproducible on all devices at %.5g%% within %gs per test\n"
-      (List.length full) mutants (100. *. target) budget;
+      (List.length full) (List.length mutants) (100. *. target) budget;
     Printf.printf "total suite budget: %g s for %d conformance tests\n"
       (budget *. float_of_int (List.length (Suite.conformance_tests ())))
       (List.length (Suite.conformance_tests ()));
     Printf.printf "total reproducibility across the suite: %.4f%%\n"
-      (100. *. Confidence.total_reproducibility ~per_test:target ~tests:mutants)
+      (100. *. Confidence.total_reproducibility ~per_test:target ~tests:(List.length mutants))
   in
   let target =
-    Arg.(value & opt float 0.99999 & info [ "rep" ] ~docv:"R" ~doc:"Reproducibility target in (0,1).")
-  in
-  let budget =
-    Arg.(value & opt float 4.0 & info [ "budget" ] ~docv:"B" ~doc:"Per-test time budget in seconds.")
+    validated [ "rep" ] Arg.float 0.99999 ~docv:"R" ~doc:"Reproducibility target in (0,1)."
+      (in_open 0. 1. "a number")
   in
   Cmd.v
     (Cmd.info "cts" ~doc:"Curate per-test environments for a conformance test suite (Alg. 1)")
-    Term.(const run $ target $ budget $ jobs_t)
+    Term.(const run $ target $ budget_t 4.0 $ jobs_t)
 
 (* ------------------------------------------------------------------ *)
 (* cache: inspect and maintain a campaign store                         *)

@@ -16,9 +16,8 @@
 module Suite = Mcm_core.Suite
 module Merge = Mcm_core.Merge
 module Confidence = Mcm_core.Confidence
-module Litmus = Mcm_litmus.Litmus
-module Profile = Mcm_gpu.Profile
 module Tuning = Mcm_harness.Tuning
+module Results = Mcm_harness.Results
 module Experiments = Mcm_harness.Experiments
 module Table = Mcm_util.Table
 
@@ -29,15 +28,18 @@ let () =
   let jobs = Mcm_util.Pool.default_domains () in
   Printf.printf "tuning %d parallel environments per category (scale %.3f, %d jobs)...\n%!"
     config.Tuning.n_envs config.Tuning.scale jobs;
-  let runs = Tuning.sweep ~ctx:(Mcm_testenv.Request.context ~domains:jobs ()) config in
+  let table =
+    Results.of_runs (Tuning.sweep ~ctx:(Mcm_testenv.Request.context ~domains:jobs ()) config)
+  in
+  let category = Tuning.category_name Tuning.Pte in
 
   (* Budget sweep: where does the PTE mutation score plateau? *)
   print_endline "\nmutation score vs per-test budget (PTE, merged with Alg. 1):";
-  let plateau = Experiments.Fig6.score runs Tuning.Pte ~target ~budget:64. in
+  let plateau = Results.merge_score table ~category ~target ~budget:64. in
   let cheapest =
     List.fold_left
       (fun acc budget ->
-        let score = Experiments.Fig6.score runs Tuning.Pte ~target ~budget in
+        let score = Results.merge_score table ~category ~target ~budget in
         Printf.printf "  %8.4f s -> %s\n" budget (Table.pct_cell score);
         match acc with
         | Some _ -> acc
@@ -49,8 +51,7 @@ let () =
     (Table.pct_cell plateau);
 
   (* The per-test environment proposal. *)
-  let devices = List.map (fun p -> p.Profile.short_name) Profile.all in
-  let n_envs = List.length (Tuning.envs_for config Tuning.Pte) in
+  let n_devices = List.length (Results.devices table) in
   let t =
     Table.create
       ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right ]
@@ -58,15 +59,11 @@ let () =
   in
   let reproducible = ref 0 in
   List.iter
-    (fun (e : Suite.entry) ->
-      let name = e.Suite.test.Litmus.name in
-      let rate ~env ~device =
-        Tuning.rate runs Tuning.Pte ~test:name ~device:(List.nth devices device) ~env_index:env
-      in
-      match Merge.choose ~rate ~n_envs ~n_devices:(List.length devices) ~target ~budget with
+    (fun name ->
+      match Results.choose table ~category ~test:name ~target ~budget with
       | None -> Table.add_row t [ name; "-"; "0"; "0" ]
       | Some c ->
-          if c.Merge.devices_at_ceiling = List.length devices then incr reproducible;
+          if c.Merge.devices_at_ceiling = n_devices then incr reproducible;
           Table.add_row t
             [
               name;
@@ -74,13 +71,13 @@ let () =
               string_of_int c.Merge.devices_at_ceiling;
               Table.rate_cell c.Merge.min_positive_rate;
             ])
-    (Suite.mutants ());
+    (Results.tests table);
   print_newline ();
   Table.print t;
 
   let n_conf = List.length (Suite.conformance_tests ()) in
   Printf.printf "\n%d/%d mutants reproducible on all four devices\n" !reproducible
-    (List.length (Suite.mutants ()));
+    (List.length (Results.tests table));
   Printf.printf "CTS proposal: %d conformance tests x %g s = %g s of testing per run\n" n_conf
     budget
     (budget *. float_of_int n_conf);

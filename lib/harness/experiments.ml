@@ -3,7 +3,6 @@ module Prng = Mcm_util.Prng
 module Request = Mcm_testenv.Request
 module Suite = Mcm_core.Suite
 module Mutator = Mcm_core.Mutator
-module Merge = Mcm_core.Merge
 module Litmus = Mcm_litmus.Litmus
 module Device = Mcm_gpu.Device
 module Profile = Mcm_gpu.Profile
@@ -31,132 +30,49 @@ let table3 () =
     (Profile.table3 ());
   t
 
-let device_names = List.map (fun p -> p.Profile.short_name) Profile.all
-
-let mutant_names ?mutator () =
-  List.filter_map
-    (fun (e : Suite.entry) ->
-      match mutator with
-      | Some m when e.Suite.mutator <> m -> None
-      | _ -> Some e.Suite.test.Litmus.name)
-    (Suite.mutants ())
-
 module Fig5 = struct
-  let runs_for runs ?mutator ~device category =
-    List.filter
-      (fun (r : Tuning.run) ->
-        r.Tuning.category = category
-        && (match mutator with Some m -> r.Tuning.mutator = m | None -> true)
-        && Device.name r.Tuning.device = device)
-      runs
+  let categories = List.map Tuning.category_name Tuning.all_categories
 
-  let per_device_score runs ?mutator ~device category =
-    let names = mutant_names ?mutator () in
-    let relevant = runs_for runs ?mutator ~device category in
-    let killed name =
-      List.exists
-        (fun (r : Tuning.run) -> r.Tuning.test_name = name && r.Tuning.result.Runner.kills > 0)
-        relevant
+  (* Rows are the table's devices and their average, columns the four
+     categories. *)
+  let panel cell t mutator =
+    let table = Table.create ("Device" :: categories) in
+    let row label device =
+      Table.add_row table
+        (label :: List.map (fun category -> cell t ~category ~mutator ~device) categories)
     in
-    match names with
-    | [] -> 0.
-    | _ ->
-        float_of_int (List.length (List.filter killed names)) /. float_of_int (List.length names)
+    List.iter (fun d -> row d (Some d)) (Results.devices t);
+    Table.add_rule table;
+    row "All" None;
+    table
 
-  let per_device_rate runs ?mutator ~device category =
-    let names = mutant_names ?mutator () in
-    let relevant = runs_for runs ?mutator ~device category in
-    let max_rate name =
-      List.fold_left
-        (fun acc (r : Tuning.run) ->
-          if r.Tuning.test_name = name then Float.max acc r.Tuning.result.Runner.rate else acc)
-        0. relevant
+  let score_cell t ~category ~mutator ~device =
+    Table.pct_cell (Results.score t ~category ?mutator ?device ())
+
+  let rate_cell t ~category ~mutator ~device =
+    Table.rate_cell (Results.death_rate t ~category ?mutator ?device ())
+
+  let all_tables t =
+    let panels mutator (score_title, rate_title) =
+      [ (score_title, panel score_cell t mutator); (rate_title, panel rate_cell t mutator) ]
     in
-    match names with
-    | [] -> 0.
-    | _ ->
-        List.fold_left (fun acc name -> acc +. max_rate name) 0. names
-        /. float_of_int (List.length names)
-
-  let average f = List.fold_left (fun acc d -> acc +. f d) 0. device_names
-                  /. float_of_int (List.length device_names)
-
-  let mutation_score runs ?mutator ?device category =
-    match device with
-    | Some d -> per_device_score runs ?mutator ~device:d category
-    | None -> average (fun d -> per_device_score runs ?mutator ~device:d category)
-
-  let avg_death_rate runs ?mutator ?device category =
-    match device with
-    | Some d -> per_device_rate runs ?mutator ~device:d category
-    | None -> average (fun d -> per_device_rate runs ?mutator ~device:d category)
-
-  let score_table runs ?mutator () =
-    let t = Table.create ([ "Device" ] @ List.map Tuning.category_name Tuning.all_categories) in
-    List.iter
-      (fun d ->
-        Table.add_row t
-          (d
-          :: List.map
-               (fun c -> Table.pct_cell (mutation_score runs ?mutator ~device:d c))
-               Tuning.all_categories))
-      device_names;
-    Table.add_rule t;
-    Table.add_row t
-      ("All"
-      :: List.map (fun c -> Table.pct_cell (mutation_score runs ?mutator c)) Tuning.all_categories);
-    t
-
-  let rate_table runs ?mutator () =
-    let t = Table.create ([ "Device" ] @ List.map Tuning.category_name Tuning.all_categories) in
-    List.iter
-      (fun d ->
-        Table.add_row t
-          (d
-          :: List.map
-               (fun c -> Table.rate_cell (avg_death_rate runs ?mutator ~device:d c))
-               Tuning.all_categories))
-      device_names;
-    Table.add_rule t;
-    Table.add_row t
-      ("All"
-      :: List.map (fun c -> Table.rate_cell (avg_death_rate runs ?mutator c)) Tuning.all_categories);
-    t
-
-  let all_tables runs =
-    let per_mutator =
-      List.concat_map
-        (fun (m, score_title, rate_title) ->
-          [
-            (score_title, score_table runs ~mutator:m ());
-            (rate_title, rate_table runs ~mutator:m ());
-          ])
-        [
-          (Mutator.Reversing_po_loc, "(a) reversing po-loc: mutation score",
-           "(b) reversing po-loc: mutant death rate (/s)");
-          (Mutator.Weakening_po_loc, "(c) weakening po-loc: mutation score",
-           "(d) weakening po-loc: mutant death rate (/s)");
-          (Mutator.Weakening_sw, "(e) weakening sw: mutation score",
-           "(f) weakening sw: mutant death rate (/s)");
-        ]
-    in
-    per_mutator
-    @ [
-        ("(g) all mutators: mutation score", score_table runs ());
-        ("(h) all mutators: mutant death rate (/s)", rate_table runs ());
+    List.concat_map
+      (fun (m, titles) -> panels (Some (Mutator.kind_name m)) titles)
+      [
+        ( Mutator.Reversing_po_loc,
+          ( "(a) reversing po-loc: mutation score",
+            "(b) reversing po-loc: mutant death rate (/s)" ) );
+        ( Mutator.Weakening_po_loc,
+          ( "(c) weakening po-loc: mutation score",
+            "(d) weakening po-loc: mutant death rate (/s)" ) );
+        ( Mutator.Weakening_sw,
+          ("(e) weakening sw: mutation score", "(f) weakening sw: mutant death rate (/s)") );
       ]
+    @ panels None
+        ("(g) all mutators: mutation score", "(h) all mutators: mutant death rate (/s)")
 
-  let tuning_time runs =
-    List.map
-      (fun c ->
-        let total =
-          List.fold_left
-            (fun acc (r : Tuning.run) ->
-              if r.Tuning.category = c then acc +. r.Tuning.result.Runner.sim_time_s else acc)
-            0. runs
-        in
-        (Tuning.category_name c, total))
-      Tuning.all_categories
+  let tuning_time t =
+    List.map (fun category -> (category, Results.sim_time t ~category)) categories
 end
 
 module Fig6 = struct
@@ -164,53 +80,26 @@ module Fig6 = struct
 
   let targets = [ 0.95; 0.99999 ]
 
-  let score runs category ~target ~budget =
-    let names = mutant_names () in
-    let n_envs =
-      1
-      + List.fold_left
-          (fun acc (r : Tuning.run) ->
-            if r.Tuning.category = category then max acc r.Tuning.env_index else acc)
-          (-1) runs
-    in
-    if n_envs = 0 then 0.
-    else begin
-      let devices = Array.of_list device_names in
-      let reproducible name =
-        let rate ~env ~device =
-          Tuning.rate runs category ~test:name ~device:devices.(device) ~env_index:env
-        in
-        Merge.reproducible_on_all ~rate ~n_envs ~n_devices:(Array.length devices) ~target ~budget
-      in
-      float_of_int (List.length (List.filter reproducible names))
-      /. float_of_int (List.length names)
-    end
-
   let budget_label b = if b >= 1. then Printf.sprintf "%.0f" b else Printf.sprintf "1/%.0f" (1. /. b)
 
-  let table runs =
-    let headers =
-      "Budget (s)"
-      :: List.concat_map
-           (fun c ->
-             List.map
-               (fun target -> Printf.sprintf "%s@%g%%" (Tuning.category_name c) (100. *. target))
-               targets)
-           [ Tuning.Site; Tuning.Pte ]
+  let table t =
+    let series =
+      List.concat_map
+        (fun c -> List.map (fun target -> (Tuning.category_name c, target)) targets)
+        [ Tuning.Site; Tuning.Pte ]
     in
-    let t = Table.create headers in
+    let label (category, target) = Printf.sprintf "%s@%g%%" category (100. *. target) in
+    let table = Table.create ("Budget (s)" :: List.map label series) in
     List.iter
-      (fun b ->
-        Table.add_row t
-          (budget_label b
-          :: List.concat_map
-               (fun c ->
-                 List.map
-                   (fun target -> Table.pct_cell (score runs c ~target ~budget:b))
-                   targets)
-               [ Tuning.Site; Tuning.Pte ]))
+      (fun budget ->
+        Table.add_row table
+          (budget_label budget
+          :: List.map
+               (fun (category, target) ->
+                 Table.pct_cell (Results.merge_score t ~category ~target ~budget))
+               series))
       budgets;
-    t
+    table
 end
 
 module Table4 = struct

@@ -16,38 +16,15 @@ val table3 : unit -> Mcm_util.Table.t
 (** Tab. 3: the simulated device inventory. *)
 
 (** Fig. 5: mutation scores and average mutant death rates, per mutator
-    (a–f), combined (g–h), and averaged across devices (i–j). *)
+    (a–f), combined (g–h), and averaged across devices (i–j, the [All]
+    rows), rendered from a {!Results.t}. *)
 module Fig5 : sig
-  val mutation_score :
-    Tuning.run list ->
-    ?mutator:Mcm_core.Mutator.kind ->
-    ?device:string ->
-    Tuning.category ->
-    float
-  (** Fraction of mutants killed in at least one environment of the
-      category (restricted to a mutator and/or device when given;
-      without [device], the per-device scores are averaged). *)
+  val all_tables : Results.t -> (string * Mcm_util.Table.t) list
+  (** Every Fig. 5 panel, titled (a)–(h): rows are the table's devices
+      plus [All], columns the four environment categories, cells
+      {!Results.score} or {!Results.death_rate}. *)
 
-  val avg_death_rate :
-    Tuning.run list ->
-    ?mutator:Mcm_core.Mutator.kind ->
-    ?device:string ->
-    Tuning.category ->
-    float
-  (** Mean over mutants of each mutant's maximum death rate across the
-      category's environments (averaged across devices if none given). *)
-
-  val score_table : Tuning.run list -> ?mutator:Mcm_core.Mutator.kind -> unit -> Mcm_util.Table.t
-  (** One of Figs. 5a/5c/5e/5g: rows = devices (plus All), columns = the
-      four environment categories, cells = mutation scores. *)
-
-  val rate_table : Tuning.run list -> ?mutator:Mcm_core.Mutator.kind -> unit -> Mcm_util.Table.t
-  (** One of Figs. 5b/5d/5f/5h: same layout with death rates. *)
-
-  val all_tables : Tuning.run list -> (string * Mcm_util.Table.t) list
-  (** Every Fig. 5 panel, titled (a)–(j). *)
-
-  val tuning_time : Tuning.run list -> (string * float) list
+  val tuning_time : Results.t -> (string * float) list
   (** Simulated tuning time per category in seconds — the Sec. 5.1
       tuning-cost comparison. *)
 end
@@ -62,13 +39,9 @@ module Fig6 : sig
   val targets : float list
   (** 0.95 and 0.99999. *)
 
-  val score :
-    Tuning.run list -> Tuning.category -> target:float -> budget:float -> float
-  (** Fraction of mutants whose Alg.-1-chosen environment reaches the
-      ceiling rate on all four devices. *)
-
-  val table : Tuning.run list -> Mcm_util.Table.t
-  (** Rows = budgets, columns = category × target series. *)
+  val table : Results.t -> Mcm_util.Table.t
+  (** Rows = budgets, columns = category × target series, cells =
+      {!Results.merge_score}. *)
 end
 
 (** Tab. 4: Pearson correlation between killing a mutant and observing a

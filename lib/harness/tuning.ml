@@ -163,15 +163,3 @@ let sweep ?(ctx = Request.serial) ?devices ?tests config =
            result;
          })
        results)
-
-let rate runs category ~test ~device ~env_index =
-  match
-    List.find_opt
-      (fun r ->
-        r.category = category && r.test_name = test
-        && Device.name r.device = device
-        && r.env_index = env_index)
-      runs
-  with
-  | Some r -> r.result.Runner.rate
-  | None -> 0.

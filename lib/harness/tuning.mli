@@ -83,6 +83,3 @@ val sweep :
     uncached sweep; with a journal too, progress is checkpointed under
     {!sweep_key}, making a killed sweep resumable with nothing
     replayed. *)
-
-val rate : run list -> category -> test:string -> device:string -> env_index:int -> float
-(** Death-rate lookup into a sweep's results; [0.] when absent. *)

@@ -147,6 +147,10 @@ let test_tampered_corpus_refused () =
 let test_malformed_flags_name_the_flag () =
   with_temp_dir (fun dir ->
       let store = Filename.quote (Filename.concat dir "store") in
+      let stats = Filename.concat dir "stats.json" in
+      write_file stats
+        {|{"runs":[{"category":"PTE","envIndex":0,"device":"NVIDIA","test":"CoRR-m","rate":1.0}]}|};
+      let stats = Filename.quote stats in
       let cases =
         [
           ("corpus generate --shape garbage", "--shape", "expected THREADSxEVENTSxLOCS");
@@ -169,6 +173,29 @@ let test_malformed_flags_name_the_flag () =
             "/dev/null/x.json" );
           ("serve --store " ^ store ^ " --socket /dev/null/dir/s.sock", "--socket", "/dev/null/dir/s.sock");
           ("analysis --stats /dev/null/x.json", "--stats", ": /dev/null/x.json: ");
+          (* Checked before the sweep: each would otherwise run it first. *)
+          ("cts --rep 1", "--rep", "expected a number in (0,1), got 1");
+          ("cts --rep 0", "--rep", "expected a number in (0,1), got 0");
+          ("cts --rep 95", "--rep", "expected a number in (0,1), got 95");
+          ("cts --budget 0", "--budget", "expected a finite number > 0, got 0");
+          ("cts --budget=-2", "--budget", "expected a finite number > 0, got -2");
+          ("cts --budget nan", "--budget", "expected a finite number > 0, got nan");
+          (* Checked before the load: the stats path does not exist. *)
+          ("analysis --stats /dev/null/x.json --action merge --rep 0", "--rep",
+           "expected a percent in (0,100), got 0");
+          ("analysis --stats /dev/null/x.json --action merge --rep 100", "--rep",
+           "expected a percent in (0,100), got 100");
+          ("analysis --stats /dev/null/x.json --action merge --budget 0", "--budget",
+           "expected a finite number > 0, got 0");
+          ("analysis --stats /dev/null/x.json --action merge --budget nan", "--budget",
+           "expected a finite number > 0, got nan");
+          ("analysis --stats /dev/null/x.json --category BOGUS", "--category",
+           "unknown category \"BOGUS\" (SITE-baseline|SITE|PTE-baseline|PTE)");
+          ("analysis --stats /dev/null/x.json --action bogus", "--action",
+           "unknown action \"bogus\" (mutation-score|merge|correlation)");
+          (* Checked after the load, against the tests the file holds. *)
+          ("analysis --stats " ^ stats ^ " --action correlation --test nope", "--test",
+           "unknown test \"nope\"");
         ]
       in
       List.iter

@@ -14,7 +14,8 @@
    whose stdout must equal the goldens in cli_golden/ byte for byte.
    CoRR-rmw and 2+2W-CO print a different forbidden cycle from the one
    certification stores, so these goldens also pin which candidate the
-   explainer reports. *)
+   explainer reports. And `analysis` over a `tune --save` file prints
+   the numbers `fig5` and `fig6` print for the same sweep. *)
 
 module Jsonp = Mcm_util.Jsonp
 
@@ -98,11 +99,12 @@ let golden name =
       close_in ic;
       (p, text)
 
-(* Run [exe args] and return its stdout alone. *)
-let stdout_of args =
+(* Run [exe args] and return its stdout alone; [env] prefixes
+   variable assignments to the command. *)
+let stdout_of ?(env = "") args =
   let out = Filename.temp_file "mcm_cli" ".out" in
   let code =
-    Sys.command (Printf.sprintf "%s %s > %s" (Filename.quote exe) args (Filename.quote out))
+    Sys.command (Printf.sprintf "%s%s %s > %s" env (Filename.quote exe) args (Filename.quote out))
   in
   let ic = open_in_bin out in
   let text = really_input_string ic (in_channel_length ic) in
@@ -129,6 +131,65 @@ let test_analysis_goldens () =
   Alcotest.(check string) "mcmutants parse (exported CoRR-rmw)" expected
     (stdout_of ("parse " ^ Filename.quote path))
 
+let words line = List.filter (( <> ) "") (String.split_on_char ' ' line)
+
+(* The cells after the label of the first row labelled [label], after
+   the line [title] when given. *)
+let row ?title text ~label =
+  let rec after title = function
+    | [] -> Alcotest.failf "no line %S in:\n%s" title text
+    | l :: rest -> if l = title then rest else after title rest
+  in
+  let rec find = function
+    | [] -> Alcotest.failf "no row %S in:\n%s" label text
+    | l :: rest -> ( match words l with w :: cells when w = label -> cells | _ -> find rest)
+  in
+  let lines = String.split_on_char '\n' text in
+  find (match title with Some t -> after t lines | None -> lines)
+
+(* The cell of [row] under [column] of [header]. *)
+let column header column row =
+  let rec go i = function
+    | [] -> Alcotest.failf "no column %S" column
+    | c :: rest -> if c = column then List.nth row i else go (i + 1) rest
+  in
+  go 0 header
+
+let test_analysis_reads_the_figures_table () =
+  let env = "MCM_ENVS=2 MCM_SITE_ITERS=4 MCM_PTE_ITERS=2 " in
+  let stats = Filename.temp_file "mcm_cli" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove stats)
+    (fun () ->
+      ignore (stdout_of ~env ("tune --jobs 2 --save " ^ Filename.quote stats));
+      let analysis args =
+        stdout_of ~env (Printf.sprintf "analysis --stats %s %s" (Filename.quote stats) args)
+      in
+      let fig6 = stdout_of ~env "fig6 --jobs 2" in
+      let title =
+        "Figure 6: mutation score vs per-test time budget (merged environments, Alg. 1)"
+      in
+      (* The header row reads "Budget (s) SITE@95% ...". *)
+      let header = List.tl (row fig6 ~title ~label:"Budget") in
+      let pte95 = column header "PTE@95%" (row fig6 ~title ~label:"64") in
+      let merged = analysis "--action merge --category PTE --rep 95 --budget 64" in
+      Alcotest.(check string) "fig6 PTE@95% at 64 s = analysis merge" pte95
+        (List.hd (words merged));
+      let fig5 = stdout_of ~env "fig5 --jobs 2" in
+      List.iter
+        (fun category ->
+          let all title =
+            column (row fig5 ~title ~label:"Device") category (row fig5 ~title ~label:"All")
+          in
+          Alcotest.(check (list string))
+            (category ^ ": fig5 (g)/(h) All = analysis Combined")
+            [
+              all "(g) all mutators: mutation score";
+              all "(h) all mutators: mutant death rate (/s)";
+            ]
+            (row (analysis ("--category " ^ category)) ~label:"Combined"))
+        [ "SITE-baseline"; "SITE"; "PTE-baseline"; "PTE" ])
+
 let test_injected_bug_fails_both_engines () =
   List.iter
     (fun engine ->
@@ -151,5 +212,9 @@ let () =
             test_injected_bug_fails_both_engines;
         ] );
       ( "analysis",
-        [ Alcotest.test_case "show, enumerate, parse goldens" `Quick test_analysis_goldens ] );
+        [
+          Alcotest.test_case "show, enumerate, parse goldens" `Quick test_analysis_goldens;
+          Alcotest.test_case "fig5, fig6 and analysis read one table" `Quick
+            test_analysis_reads_the_figures_table;
+        ] );
     ]

@@ -13,9 +13,18 @@ module Litmus = Mcm_litmus.Litmus
 module Runner = Mcm_testenv.Runner
 module Request = Mcm_testenv.Request
 module Table = Mcm_util.Table
+module Results = Mcm_harness.Results
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+
+let contains_sub msg sub =
+  let n = String.length sub in
+  let found = ref false in
+  for i = 0 to String.length msg - n do
+    if String.sub msg i n = sub then found := true
+  done;
+  !found
 
 let tiny_config =
   { Tuning.n_envs = 3; site_iterations = 20; pte_iterations = 3; scale = 0.01; seed = 99 }
@@ -32,6 +41,8 @@ let shared_runs =
          (Suite.mutants ())
      in
      Tuning.sweep ~devices ~tests tiny_config)
+
+let shared_table = lazy (Results.of_runs (Lazy.force shared_runs))
 
 let test_sweep_shape () =
   let runs = Lazy.force shared_runs in
@@ -101,19 +112,19 @@ let test_envs_for () =
   (* Environments are drawn deterministically. *)
   check "stable" true (Tuning.envs_for tiny_config Tuning.Pte = Tuning.envs_for tiny_config Tuning.Pte)
 
+(* A sweep's table finds every run under the run's own coordinates. *)
 let test_rate_lookup () =
-  let runs = Lazy.force shared_runs in
-  let found =
-    List.exists
-      (fun (r : Tuning.run) ->
-        Tuning.rate runs r.Tuning.category ~test:r.Tuning.test_name
-          ~device:(Device.name r.Tuning.device) ~env_index:r.Tuning.env_index
-        = r.Tuning.result.Runner.rate)
-      runs
-  in
-  check "lookup matches" true found;
+  let table = Lazy.force shared_table in
+  List.iter
+    (fun (r : Tuning.run) ->
+      check "lookup matches" true
+        (Results.rate table ~category:(Tuning.category_name r.Tuning.category)
+           ~test:r.Tuning.test_name ~device:(Device.name r.Tuning.device)
+           ~env_index:r.Tuning.env_index
+        = r.Tuning.result.Runner.rate))
+    (Lazy.force shared_runs);
   check "missing is zero" true
-    (Tuning.rate runs Tuning.Pte ~test:"nope" ~device:"NVIDIA" ~env_index:0 = 0.)
+    (Results.rate table ~category:"PTE" ~test:"nope" ~device:"NVIDIA" ~env_index:0 = 0.)
 
 let test_category_names () =
   Alcotest.(check (list string))
@@ -151,66 +162,72 @@ let test_table3_renders () =
     [ "GeForce RTX 2080"; "Radeon Pro 5500M"; "Iris Plus Graphics"; "M1"; "Discrete"; "Integrated" ]
 
 let test_fig5_scores_within_bounds () =
-  let runs = Lazy.force shared_runs in
+  let table = Lazy.force shared_table in
   List.iter
     (fun category ->
-      let s = Experiments.Fig5.mutation_score runs category in
+      let category = Tuning.category_name category in
+      let s = Results.score table ~category () in
       check "score in unit interval" true (s >= 0. && s <= 1.);
-      let r = Experiments.Fig5.avg_death_rate runs category in
+      let r = Results.death_rate table ~category () in
       check "rate non-negative" true (r >= 0.))
     Tuning.all_categories
 
 let test_fig5_pte_beats_site_baseline () =
-  let runs = Lazy.force shared_runs in
+  let table = Lazy.force shared_table in
   check "PTE-baseline score >= SITE-baseline score" true
-    (Experiments.Fig5.mutation_score runs Tuning.Pte_baseline
-    >= Experiments.Fig5.mutation_score runs Tuning.Site_baseline);
+    (Results.score table ~category:"PTE-baseline" ()
+    >= Results.score table ~category:"SITE-baseline" ());
   check "PTE-baseline rate > SITE-baseline rate" true
-    (Experiments.Fig5.avg_death_rate runs Tuning.Pte_baseline
-    > Experiments.Fig5.avg_death_rate runs Tuning.Site_baseline)
+    (Results.death_rate table ~category:"PTE-baseline" ()
+    > Results.death_rate table ~category:"SITE-baseline" ())
 
 let test_fig5_tables_render () =
-  let runs = Lazy.force shared_runs in
-  let tables = Experiments.Fig5.all_tables runs in
+  let tables = Experiments.Fig5.all_tables (Lazy.force shared_table) in
   check_int "eight panels" 8 (List.length tables);
   List.iter (fun (title, t) -> check title true (String.length (Table.render t) > 0)) tables
 
 let test_fig5_device_filter () =
-  let runs = Lazy.force shared_runs in
-  let nv = Experiments.Fig5.mutation_score runs ~device:"NVIDIA" Tuning.Pte_baseline in
-  check "per-device score valid" true (nv >= 0. && nv <= 1.)
+  let table = Lazy.force shared_table in
+  let nv = Results.score table ~category:"PTE-baseline" ~device:"NVIDIA" () in
+  check "per-device score valid" true (nv >= 0. && nv <= 1.);
+  (* The cross-device score averages the two devices the sweep holds. *)
+  let intel = Results.score table ~category:"PTE-baseline" ~device:"Intel" () in
+  check "All is the device mean" true
+    (Results.score table ~category:"PTE-baseline" () = (nv +. intel) /. 2.)
 
 let test_tuning_time_positive () =
-  let runs = Lazy.force shared_runs in
   List.iter
     (fun (name, t) -> check (name ^ " time positive") true (t > 0.))
-    (Experiments.Fig5.tuning_time runs)
+    (Experiments.Fig5.tuning_time (Lazy.force shared_table))
+
+let pte_score ~target ~budget =
+  Results.merge_score (Lazy.force shared_table) ~category:"PTE" ~target ~budget
 
 let test_fig6_monotone_in_budget () =
-  let runs = Lazy.force shared_runs in
   List.iter
     (fun target ->
       let prev = ref 0. in
       List.iter
         (fun budget ->
-          let s = Experiments.Fig6.score runs Tuning.Pte ~target ~budget in
+          let s = pte_score ~target ~budget in
           check "monotone in budget" true (s >= !prev -. 1e-9);
           prev := s)
         Experiments.Fig6.budgets)
-    Experiments.Fig6.targets
+    Experiments.Fig6.targets;
+  (* Scores over the devices the sweep holds, not the four study
+     devices: at 64 s most of the pruned sweep's mutants reproduce. *)
+  check "PTE@95% at 64 s is positive" true (pte_score ~target:0.95 ~budget:64. > 0.)
 
 let test_fig6_lower_target_easier () =
-  let runs = Lazy.force shared_runs in
   List.iter
     (fun budget ->
       check "95% >= 99.999%" true
-        (Experiments.Fig6.score runs Tuning.Pte ~target:0.95 ~budget
-        >= Experiments.Fig6.score runs Tuning.Pte ~target:0.99999 ~budget -. 1e-9))
+        (pte_score ~target:0.95 ~budget >= pte_score ~target:0.99999 ~budget -. 1e-9))
     Experiments.Fig6.budgets
 
 let test_fig6_table_renders () =
-  let runs = Lazy.force shared_runs in
-  check "renders" true (String.length (Table.render (Experiments.Fig6.table runs)) > 0)
+  check "renders" true
+    (String.length (Table.render (Experiments.Fig6.table (Lazy.force shared_table))) > 0)
 
 let test_table4_correlations () =
   (* A small correlation study: high PCC for each of the paper's three
@@ -231,46 +248,106 @@ let test_table4_correlations () =
 (* -------------------------------------------------------------------- *)
 (* Results store (the artifact's JSON pipeline)                           *)
 
-module Results = Mcm_harness.Results
-
-let shared_records = lazy (Results.of_runs (Lazy.force shared_runs))
-
 let test_results_roundtrip () =
-  let records = Lazy.force shared_records in
+  let table = Lazy.force shared_table in
   let path = Filename.temp_file "mcm" ".json" in
-  (match Results.save path records with
+  (match Results.save path table with
   | Ok () -> ()
   | Error e -> Alcotest.failf "save: %s" e);
   (match Results.load path with
-  | Ok loaded -> check "round-trip" true (loaded = records)
+  | Ok loaded -> check "round-trip" true (Results.records loaded = Results.records table)
   | Error e -> Alcotest.failf "load: %s" e);
   Sys.remove path
 
 let test_results_of_json_rejects_garbage () =
-  check "not an object" true (Result.is_error (Results.of_json Mcm_util.Jsonw.Null));
+  let module Jsonw = Mcm_util.Jsonw in
+  check "not an object" true (Result.is_error (Results.of_json Jsonw.Null));
   check "runs not records" true
-    (Result.is_error (Results.of_json (Mcm_util.Jsonw.Obj [ ("runs", Mcm_util.Jsonw.List [ Mcm_util.Jsonw.Int 3 ]) ])))
+    (Result.is_error (Results.of_json (Jsonw.Obj [ ("runs", Jsonw.List [ Jsonw.Int 3 ]) ])));
+  (* Two records under one key: refused, naming the key. *)
+  let record rate =
+    Jsonw.Obj
+      [
+        ("category", Jsonw.String "PTE");
+        ("envIndex", Jsonw.Int 1);
+        ("device", Jsonw.String "NVIDIA");
+        ("test", Jsonw.String "CoRR-m");
+        ("rate", Jsonw.Float rate);
+      ]
+  in
+  match Results.of_json (Jsonw.Obj [ ("runs", Jsonw.List [ record 1.; record 2. ]) ]) with
+  | Ok _ -> Alcotest.fail "a repeated key was accepted"
+  | Error e ->
+      List.iter
+        (fun part -> check ("error names " ^ part) true (contains_sub e part))
+        [ "repeated"; "\"PTE\""; "envIndex 1"; "\"NVIDIA\""; "\"CoRR-m\"" ]
 
 let test_results_distinct () =
-  let records = Lazy.force shared_records in
-  Alcotest.(check (list string)) "devices" [ "NVIDIA"; "Intel" ] (Results.devices records);
-  check_int "six tests" 6 (List.length (Results.tests records))
+  let table = Lazy.force shared_table in
+  Alcotest.(check (list string)) "devices" [ "NVIDIA"; "Intel" ] (Results.devices table);
+  check_int "six tests" 6 (List.length (Results.tests table))
 
-let test_results_rate_lookup_matches_tuning () =
-  let runs = Lazy.force shared_runs in
-  let records = Lazy.force shared_records in
+(* The specification of [Results.rate]: the first record under the key,
+   found by a linear scan; [0.] when there is none. *)
+let scan_rate records ~category ~test ~device ~env_index =
+  match
+    List.find_opt
+      (fun (r : Results.record) ->
+        r.category = category && r.test = test && r.device = device && r.env_index = env_index)
+      records
+  with
+  | Some r -> r.rate
+  | None -> 0.
+
+let test_results_rate_lookup_matches_scan () =
+  let records = Results.records (Lazy.force shared_table) in
+  let table = Results.of_records records in
   List.iter
-    (fun (r : Tuning.run) ->
-      let category = Tuning.category_name r.Tuning.category in
+    (fun (r : Results.record) ->
+      let { Results.category; test; device; env_index; _ } = r in
       check "rates agree" true
-        (Results.rate records ~category ~test:r.Tuning.test_name
-           ~device:(Device.name r.Tuning.device) ~env_index:r.Tuning.env_index
-        = r.Tuning.result.Runner.rate))
-    runs
+        (Results.rate table ~category ~test ~device ~env_index
+        = scan_rate records ~category ~test ~device ~env_index))
+    records
+
+(* Random record lists over a small key space, so most lists repeat some
+   keys and miss others. *)
+let prop_rate_is_the_scan =
+  let key_gen =
+    QCheck.Gen.(
+      quad (oneofl [ "SITE"; "PTE" ]) (oneofl [ "CoRR-m"; "MP-CO-m"; "SB-CO-m" ])
+        (oneofl [ "NVIDIA"; "Intel" ]) (int_range (-1) 3))
+  in
+  let record_gen =
+    QCheck.Gen.map2
+      (fun (category, test, device, env_index) rate ->
+        {
+          Results.category;
+          env_index;
+          device;
+          test;
+          mutator = "-";
+          kills = 0;
+          instances = 0;
+          iterations = 0;
+          sim_time_s = 0.;
+          rate;
+        })
+      key_gen (QCheck.Gen.float_range 0. 100.)
+  in
+  QCheck.Test.make ~count:300 ~name:"rate equals the first-match scan"
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 40) record_gen))
+    (fun records ->
+      let table = Results.of_records records in
+      List.for_all
+        (fun (category, test, device, env_index) ->
+          Results.rate table ~category ~test ~device ~env_index
+          = scan_rate records ~category ~test ~device ~env_index)
+        (QCheck.Gen.generate ~n:60 ~rand:(Random.State.make [| List.length records |]) key_gen))
 
 let test_results_mutation_score () =
-  let records = Lazy.force shared_records in
-  let rows = Results.mutation_score records ~category:"PTE-baseline" in
+  let table = Lazy.force shared_table in
+  let rows = Results.mutation_score table ~category:"PTE-baseline" in
   check "has combined row" true (List.exists (fun (l, _, _) -> l = "Combined") rows);
   List.iter
     (fun (label, score, rate) ->
@@ -283,16 +360,16 @@ let test_results_mutation_score () =
   | None -> Alcotest.fail "missing combined row"
 
 let test_results_merge_score () =
-  let records = Lazy.force shared_records in
-  let score = Results.merge_score records ~category:"PTE" ~target:0.95 ~budget:64. in
+  let table = Lazy.force shared_table in
+  let score = Results.merge_score table ~category:"PTE" ~target:0.95 ~budget:64. in
   check "in unit interval" true (score >= 0. && score <= 1.);
-  let strict = Results.merge_score records ~category:"PTE" ~target:0.99999 ~budget:(1. /. 1024.) in
+  let strict = Results.merge_score table ~category:"PTE" ~target:0.99999 ~budget:(1. /. 1024.) in
   check "stricter never higher" true (strict <= score)
 
 let test_results_correlation_matrix () =
-  let records = Lazy.force shared_records in
+  let table = Lazy.force shared_table in
   let tests = [ "CoRR-m"; "MP-CO-m" ] in
-  let m = Results.correlation_matrix records ~category:"PTE" ~tests in
+  let m = Results.correlation_matrix table ~category:"PTE" ~tests in
   check_int "square" 2 (Array.length m);
   check "diagonal is 1 (or nan)" true
     (Float.is_nan m.(0).(0) || abs_float (m.(0).(0) -. 1.) < 1e-9);
@@ -309,14 +386,6 @@ let with_env name value f =
   Fun.protect
     ~finally:(fun () -> Unix.putenv name (Option.value old ~default:""))
     f
-
-let contains_sub msg sub =
-  let n = String.length sub in
-  let found = ref false in
-  for i = 0 to String.length msg - n do
-    if String.sub msg i n = sub then found := true
-  done;
-  !found
 
 let test_env_var_valid () =
   with_env "MCM_TEST_FLOAT" "0.25" (fun () ->
@@ -393,7 +462,8 @@ let () =
           Alcotest.test_case "round-trip" `Quick test_results_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_results_of_json_rejects_garbage;
           Alcotest.test_case "distinct" `Quick test_results_distinct;
-          Alcotest.test_case "rate lookup" `Quick test_results_rate_lookup_matches_tuning;
+          Alcotest.test_case "rate lookup" `Quick test_results_rate_lookup_matches_scan;
+          QCheck_alcotest.to_alcotest prop_rate_is_the_scan;
           Alcotest.test_case "mutation score" `Quick test_results_mutation_score;
           Alcotest.test_case "merge score" `Quick test_results_merge_score;
           Alcotest.test_case "correlation matrix" `Quick test_results_correlation_matrix;
